@@ -115,6 +115,15 @@ let detect trace =
   Trace.iteri
     (fun i (e : Trace.event) ->
        let c = ctx e.thread in
+       (* After [loopOnQ], an operation outside any task is ordered only
+          after the pre-loop prefix (NO-Q-PO stops at the loop, and
+          ASYNC-PO needs a task), so each such operation gets a fresh
+          slot whose clock starts from the loop clock. *)
+       (match c.loop_clock, c.in_task with
+        | Some vc, None ->
+          c.slot <- fresh_slot ();
+          c.clock <- vc
+        | _ -> ());
        (* Every operation advances the executing context's local time. *)
        c.clock <- Vc.tick c.clock c.slot;
        match e.op with

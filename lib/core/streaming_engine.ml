@@ -171,11 +171,18 @@ let ctx t tid =
    cannot change any future answer — the sweep is invisible to the
    race set, it only bounds memory. *)
 
-module Int_set = Set.Make (Int)
-
-let live_slot_set t =
-  let live = ref Int_set.empty in
-  let add s = live := Int_set.add s !live in
+(* The live slots as a byte per allocated slot, with their count:
+   membership is one load, where the sweep asks it of every entry of
+   every resident clock. *)
+let live_slots t =
+  let live = Bytes.make t.next_slot '\000' in
+  let count = ref 0 in
+  let add s =
+    if Bytes.get live s = '\000' then begin
+      Bytes.set live s '\001';
+      incr count
+    end
+  in
   Hashtbl.iter
     (fun _ c ->
        add c.slot;
@@ -191,11 +198,11 @@ let live_slot_set t =
        Epoch.fold (fun e () -> add e.Epoch.slot) l.writes ();
        Epoch.fold (fun e () -> add e.Epoch.slot) l.reads ())
     t.locations;
-  !live
+  (live, !count)
 
 let sweep t =
-  let live = live_slot_set t in
-  let keep s = Int_set.mem s live in
+  let live, live_count = live_slots t in
+  let keep s = Bytes.get live s <> '\000' in
   let resident = ref 0 in
   let purge vc =
     let vc = Vc.retain keep vc in
@@ -222,7 +229,7 @@ let sweep t =
     (fun _ (p : pending_post) -> Some { p with p_clock = purge p.p_clock })
     t.posts;
   t.gc_sweeps <- t.gc_sweeps + 1;
-  t.live_slots <- Int_set.cardinal live;
+  t.live_slots <- live_count;
   t.peak_live_slots <- max t.peak_live_slots t.live_slots;
   t.resident_clock_entries <- !resident;
   t.peak_clock_entries <- max t.peak_clock_entries !resident;
@@ -355,38 +362,44 @@ let feed t ~position (e : Trace.event) =
        | Some vc -> vc
        | None -> Vc.empty
      in
-     let clock = ref (Vc.merge base c.folded_ends) in
-     (match
-        Hashtbl.find_opt t.posts
-          (Ident.Interner.intern t.interner (Task_id.to_string p))
-      with
-      | Some post ->
-        (* Unique renaming: one begin per task, the post is consumed. *)
-        Hashtbl.remove t.posts
-          (Ident.Interner.intern t.interner (Task_id.to_string p));
-        clock := Vc.merge !clock post.p_clock;
-        (* FIFO and NOPRE against the windowed completed tasks of this
-           thread; evicted ones were already folded into the base. *)
-        List.iter
-          (fun comp ->
-             (* Newest-first: once the newest qualifying record is
-                merged, every older record it transitively ordered
-                after (the common sequential-looper case) is already
-                dominated, and the epoch probe skips its merge. *)
-             if Vc.get !clock comp.c_slot < comp.c_end_time then begin
-               let fifo =
-                 Clock_engine.fifo_flavours_ok comp.c_flavour post.p_flavour
-                 && Vc.get post.p_clock comp.c_post_slot >= comp.c_post_time
-               in
-               let nopre () = Vc.get post.p_clock comp.c_slot >= 1 in
-               if fifo || nopre () then
-                 clock := Vc.merge !clock comp.c_end_clock
-             end)
-          c.completed;
-        c.current_post <- Some post
-      | None -> c.current_post <- None);
+     let key = Ident.Interner.intern t.interner (Task_id.to_string p) in
+     (* The join runs base ⊔ post, then the qualifying window ends
+        newest first, then [folded_ends]: the newest end usually
+        dominates everything older, so most merges return an argument
+        unchanged.  Which ends qualify depends only on the post clock,
+        so the order does not change the join. *)
+     let clock =
+       match Hashtbl.find_opt t.posts key with
+       | Some post ->
+         (* Unique renaming: one begin per task, the post is consumed. *)
+         Hashtbl.remove t.posts key;
+         let clock = ref (Vc.merge base post.p_clock) in
+         (* FIFO and NOPRE against the windowed completed tasks of this
+            thread; evicted ones were folded into [folded_ends]. *)
+         List.iter
+           (fun comp ->
+              (* Newest-first: once the newest qualifying record is
+                 merged, every older record it transitively ordered
+                 after (the common sequential-looper case) is already
+                 dominated, and the epoch probe skips its merge. *)
+              if Vc.get !clock comp.c_slot < comp.c_end_time then begin
+                let fifo =
+                  Clock_engine.fifo_flavours_ok comp.c_flavour post.p_flavour
+                  && Vc.get post.p_clock comp.c_post_slot >= comp.c_post_time
+                in
+                let nopre () = Vc.get post.p_clock comp.c_slot >= 1 in
+                if fifo || nopre () then
+                  clock := Vc.merge !clock comp.c_end_clock
+              end)
+           c.completed;
+         c.current_post <- Some post;
+         !clock
+       | None ->
+         c.current_post <- None;
+         base
+     in
      c.slot <- slot;
-     c.clock <- Vc.tick !clock slot;
+     c.clock <- Vc.tick (Vc.merge clock c.folded_ends) slot;
      c.in_task <- Some p
    | Operation.End_task _ ->
      (match c.current_post with

@@ -1,8 +1,25 @@
 (** Sparse vector clocks.
 
-    Slots are dense integers handed out by {!Clock_engine}: one per
-    asynchronous-task instance and one per thread segment outside any
-    task.  Missing entries read as 0. *)
+    Slots are dense non-negative integers: the engines give one to
+    each asynchronous-task instance and one to each thread segment
+    outside any task.  Missing entries read as 0.
+
+    A clock is an immutable sorted flat [int array] of (slot, time)
+    pairs plus one {e owner} pair kept outside it: the slot ticked
+    last, which in the engines is the executing context's own slot.
+    With [n] entries:
+    - {!tick} of the owner is O(1) and allocates one small record, the
+      array is shared; ticking another slot makes it the owner, one
+      O(n) copy;
+    - {!get} is O(1) on the owner and a binary search otherwise;
+    - {!merge} is one linear pass that returns an argument unchanged
+      when it already dominates the other, and a second pass that
+      writes the join otherwise;
+    - {!leq} is one linear pass, {!cardinal} is O(1).
+
+    Clocks stay persistent: no operation mutates its arguments, so a
+    clock published into a table (a lock, a post, a completed task's
+    end) may be aliased freely. *)
 
 type t
 
@@ -13,7 +30,7 @@ val get : t -> int -> int
 val set : t -> int -> int -> t
 
 val tick : t -> int -> t
-(** Increments the slot by one. *)
+(** Increments the slot by one and makes it the owner. *)
 
 val merge : t -> t -> t
 (** Pointwise maximum. *)
@@ -24,8 +41,9 @@ val leq : t -> t -> bool
 val cardinal : t -> int
 
 val retain : (int -> bool) -> t -> t
-(** [retain keep t] drops every slot [keep] rejects.  Sound only when
-    the dropped slots can never again be the subject of a {!get} — the
-    streaming engine's retired-slot sweep establishes exactly that. *)
+(** [retain keep t] drops every slot [keep] rejects, the owner's
+    included.  Sound only when the dropped slots can never again be the
+    subject of a {!get} — the streaming engine's retired-slot sweep
+    establishes exactly that. *)
 
 val pp : Format.formatter -> t -> unit

@@ -120,6 +120,139 @@ let prop_leq_partial_order =
        && ((not (Vector_clock.leq a b && Vector_clock.leq b c))
            || Vector_clock.leq a c))
 
+(* Model-based: random operation sequences applied to two clocks, [a]
+   and [b], and to a [Map] reference of each.  Copying one clock into
+   the other, then ticking one of them, yields the dominating and equal
+   merge cases; resetting one and filling it afresh yields disjoint and
+   overlapping ones.  Each side remembers the slot it ticked last (the
+   owner of the flat representation), so ticks and retains can aim at
+   it. *)
+
+module Ref_clock = Map.Make (Int)
+
+type side = A | B
+
+type clock_op =
+  | Set of side * int * int
+  | Tick of side * int
+  | Tick_owner of side
+  | Merge of side * bool  (** into [side]; [true] puts [side] on the left *)
+  | Copy of side  (** [side] := the other *)
+  | Reset of side
+  | Retain of side * int  (** keep slots not divisible by the modulus *)
+  | Retain_drop_owner of side
+
+let show_side = function A -> "a" | B -> "b"
+
+let show_clock_op = function
+  | Set (s, slot, v) -> Printf.sprintf "set %s %d %d" (show_side s) slot v
+  | Tick (s, slot) -> Printf.sprintf "tick %s %d" (show_side s) slot
+  | Tick_owner s -> Printf.sprintf "tick_owner %s" (show_side s)
+  | Merge (s, left) -> Printf.sprintf "merge %s %b" (show_side s) left
+  | Copy s -> Printf.sprintf "copy %s" (show_side s)
+  | Reset s -> Printf.sprintf "reset %s" (show_side s)
+  | Retain (s, m) -> Printf.sprintf "retain %s %d" (show_side s) m
+  | Retain_drop_owner s -> Printf.sprintf "retain_drop_owner %s" (show_side s)
+
+let clock_op_gen =
+  QCheck2.Gen.(
+    let side = oneofl [ A; B ] and slot = int_bound 11 in
+    frequency
+      [ (2, map3 (fun s slot v -> Set (s, slot, v)) side slot (int_bound 9))
+      ; (3, map2 (fun s slot -> Tick (s, slot)) side slot)
+      ; (4, map (fun s -> Tick_owner s) side)
+      ; (4, map2 (fun s left -> Merge (s, left)) side bool)
+      ; (1, map (fun s -> Copy s) side)
+      ; (1, map (fun s -> Reset s) side)
+      ; (1, map2 (fun s m -> Retain (s, m)) side (int_range 2 4))
+      ; (1, map (fun s -> Retain_drop_owner s) side)
+      ])
+
+type model_side =
+  { vc : Vector_clock.t
+  ; model : int Ref_clock.t
+  ; last_ticked : int option
+  }
+
+let empty_side =
+  { vc = Vector_clock.empty; model = Ref_clock.empty; last_ticked = None }
+
+let ref_get m slot = Option.value ~default:0 (Ref_clock.find_opt slot m)
+
+let apply_clock_op (a, b) op =
+  let pick s = if s = A then a else b in
+  let other s = if s = A then b else a in
+  let put s x = if s = A then (x, b) else (a, x) in
+  let tick x slot =
+    { vc = Vector_clock.tick x.vc slot
+    ; model = Ref_clock.add slot (ref_get x.model slot + 1) x.model
+    ; last_ticked = Some slot
+    }
+  in
+  let retain x keep =
+    { x with
+      vc = Vector_clock.retain keep x.vc
+    ; model = Ref_clock.filter (fun slot _ -> keep slot) x.model
+    }
+  in
+  match op with
+  | Set (s, slot, v) ->
+    let x = pick s in
+    put s
+      { x with
+        vc = Vector_clock.set x.vc slot v
+      ; model =
+          (if v = 0 then Ref_clock.remove slot x.model
+           else Ref_clock.add slot v x.model)
+      }
+  | Tick (s, slot) -> put s (tick (pick s) slot)
+  | Tick_owner s ->
+    let x = pick s in
+    put s (tick x (Option.value ~default:0 x.last_ticked))
+  | Merge (s, left) ->
+    let x = pick s and y = other s in
+    let vc =
+      if left then Vector_clock.merge x.vc y.vc else Vector_clock.merge y.vc x.vc
+    in
+    put s
+      { x with
+        vc
+      ; model = Ref_clock.union (fun _ u v -> Some (max u v)) x.model y.model
+      }
+  | Copy s -> put s (other s)
+  | Reset s -> put s empty_side
+  | Retain (s, m) -> put s (retain (pick s) (fun slot -> slot mod m <> 0))
+  | Retain_drop_owner s ->
+    let x = pick s in
+    put s (retain x (fun slot -> Some slot <> x.last_ticked))
+
+let ref_leq m n = Ref_clock.for_all (fun slot v -> v <= ref_get n slot) m
+
+let agrees (a, b) =
+  let side x =
+    List.for_all
+      (fun slot -> Vector_clock.get x.vc slot = ref_get x.model slot)
+      (List.init 13 Fun.id)
+    && Vector_clock.cardinal x.vc = Ref_clock.cardinal x.model
+  in
+  side a && side b
+  && Vector_clock.leq a.vc b.vc = ref_leq a.model b.model
+  && Vector_clock.leq b.vc a.vc = ref_leq b.model a.model
+
+let prop_clock_matches_map_model =
+  QCheck2.Test.make ~name:"clock agrees with a Map model after every step"
+    ~count:500
+    ~print:QCheck2.Print.(list show_clock_op)
+    QCheck2.Gen.(list_size (int_range 1 60) clock_op_gen)
+    (fun ops ->
+       let rec run state = function
+         | [] -> true
+         | op :: rest ->
+           let state = apply_clock_op state op in
+           agrees state && run state rest
+       in
+       run (empty_side, empty_side) ops)
+
 (* {1 Race coverage properties} *)
 
 let prop_coverage_partitions =
@@ -172,6 +305,7 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_merge_upper_bound
         ; QCheck_alcotest.to_alcotest prop_merge_laws
         ; QCheck_alcotest.to_alcotest prop_leq_partial_order
+        ; QCheck_alcotest.to_alcotest prop_clock_matches_map_model
         ] )
     ; ( "race coverage"
       , [ QCheck_alcotest.to_alcotest prop_coverage_partitions

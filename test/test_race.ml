@@ -383,6 +383,28 @@ let prop_clock_engine_equal_without_locks =
          clock_races
        = graph_races)
 
+(* Random_trace seed 229: after t1's [loopOnQ], its posts at positions
+   39 and 41 run outside any task.  They are ordered only after the
+   pre-loop prefix, not after each other, so FIFO does not order
+   task#10 before task#59; program-ordering them on one slot hid seven
+   races of the graph engine. *)
+let test_clock_engine_post_loop_operations () =
+  let t = Random_trace.generate ~seed:229 ~size:48 () in
+  check_bool "lock-free" true
+    (List.for_all
+       (fun (e : Trace.event) ->
+          match e.op with
+          | Operation.Acquire _ | Operation.Release _ -> false
+          | _ -> true)
+       (Trace.events t));
+  let t = Trace.remove_cancelled t in
+  let graph_races = race_pairs (Detector.analyze t) in
+  let clock_races, _ = Clock_engine.detect t in
+  Alcotest.check pair_list "clock engine equals the graph engine" graph_races
+    (List.map
+       (fun (r : Race.t) -> (r.first.position, r.second.position))
+       clock_races)
+
 let test_clock_engine_on_figures () =
   let clock_races, _ = Clock_engine.detect figure4 in
   Alcotest.check pair_list "figure 4 via clocks"
@@ -568,6 +590,8 @@ let () =
         ] )
     ; ( "clock engine"
       , [ Alcotest.test_case "figures" `Quick test_clock_engine_on_figures
+        ; Alcotest.test_case "operations after loopOnQ" `Quick
+            test_clock_engine_post_loop_operations
         ; Alcotest.test_case "lock divergence" `Quick
             test_clock_engine_lock_divergence
         ] )

@@ -223,6 +223,54 @@ let test_fold_channel_bounded_state () =
     (long.Streaming.peak_clock_entries
      < (short.Streaming.peak_clock_entries * 3 / 2) + 1_000)
 
+(* {1 The lock-merge regime, pinned}
+
+   With locked tasks and 32 planted races, lock merges spread about
+   1,900 live slots into every clock: the regime the random traces
+   (120 events) never reach.  The digests cover the pair lists in the
+   engine's output order; a change to the clock representation or to
+   the begin-time join must reproduce them and the structural counts
+   exactly. *)
+
+let lock_merge_regime seed =
+  let path = Filename.temp_file "droidracer_lockmerge" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       let config = { Longtrace.default_config with planted = 32; seed } in
+       check_int "the requested length" 30_000
+         (Longtrace.write_binary ~config ~events:30_000 path);
+       match Streaming.detect_file path with
+       | Error e ->
+         Alcotest.fail (Droidracer_trace.Trace_io.read_error_message e)
+       | Ok (races, stats) ->
+         let digest =
+           Digest.to_hex
+             (Digest.string
+                (String.concat ";"
+                   (List.map
+                      (fun (r : Race.t) ->
+                         Printf.sprintf "%d,%d" r.first.position
+                           r.second.position)
+                      races)))
+         in
+         (List.length races, digest, stats))
+
+let test_lock_merge_regime_pinned () =
+  let n, digest, stats = lock_merge_regime 1 in
+  check_int "seed 1: pairs" 378 n;
+  Alcotest.(check string) "seed 1: pair digest"
+    "93819d06370601829dd1757770483f45" digest;
+  check_int "peak live slots" 1_924 stats.Streaming.peak_live_slots;
+  check_int "peak clock entries" 352_461 stats.Streaming.peak_clock_entries;
+  check_int "promotions" 290 stats.Streaming.promotions;
+  check_int "folded tasks" 3_818 stats.Streaming.folded_tasks;
+  check_int "gc sweeps" 8 stats.Streaming.gc_sweeps;
+  let n, digest, _ = lock_merge_regime 2 in
+  check_int "seed 2: pairs" 368 n;
+  Alcotest.(check string) "seed 2: pair digest"
+    "434a4fc2b68fbe47d8dec508842e20bc" digest
+
 let test_longtrace_prefixes_admissible () =
   List.iter
     (fun events ->
@@ -356,6 +404,8 @@ let () =
             test_longtrace_prefixes_admissible
         ; Alcotest.test_case "fold_channel bounded state" `Slow
             test_fold_channel_bounded_state
+        ; Alcotest.test_case "lock-merge regime pinned" `Slow
+            test_lock_merge_regime_pinned
         ] )
     ; ( "differential"
       , [ QCheck_alcotest.to_alcotest prop_subset_of_worklist
