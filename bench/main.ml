@@ -154,72 +154,49 @@ let timed name f =
   stages := (name, dt) :: !stages;
   (v, dt)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Writes the file a [--...-json] flag names, exiting 2 when it is not
+   writable. *)
+let write_file ~flag path text =
+  match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text) with
+  | () -> Printf.printf "wrote %s\n" path
+  | exception Sys_error msg ->
+    Printf.eprintf "bench: cannot write %s file: %s\n" flag msg;
+    exit 2
+
+let write_json_file ~flag path doc =
+  write_file ~flag path (Json_parse.render ~layout:Indented doc ^ "\n")
+
+let stages_json stages =
+  Json_parse.(
+    list (fun (name, dt) -> Object [ ("name", String name); ("wall_seconds", fixed 6 dt) ]) stages)
 
 let write_json path opts (runs : Experiments.app_run list) =
-  let oc =
-    try open_out path
-    with Sys_error msg ->
-      Printf.eprintf "bench: cannot write --json file: %s\n" msg;
-      exit 2
+  let open Json_parse in
+  let app run =
+    let r = run.Experiments.ar_report in
+    let s = run.Experiments.ar_built.Synthetic.b_spec in
+    Object
+      [ ("name", String s.Synthetic.s_name); ("nodes", int r.Detector.nodes)
+      ; ("hb_edges", int r.Detector.hb_edges); ("passes", int r.Detector.fixpoint_passes)
+      ; ("races", int (List.length r.Detector.all_races))
+      ; ("distinct_races", int (List.length r.Detector.distinct_races))
+      ; ("analysis_wall_seconds", fixed 6 r.Detector.elapsed_seconds)
+      ; ("hb_wall_seconds", fixed 6 (Detector.phase_seconds r "happens_before"))
+      ; ("detect_wall_seconds", fixed 6 (Detector.phase_seconds r "race_detect")) ]
   in
-  let out fmt = Printf.fprintf oc fmt in
   (* Self-describing, hostname-free metadata: enough to interpret the
      numbers of any BENCH_*.json in isolation, without identifying the
      machine that produced them. *)
-  out "{\n  \"schema\": \"droidracer-bench/2\",\n";
-  out "  \"jobs\": %d,\n" opts.jobs;
-  out "  \"quick\": %b,\n" opts.quick;
-  out "  \"corpus_apps\": %d,\n" (List.length runs);
-  out "  \"metadata\": {\n";
-  out "    \"ocaml_version\": \"%s\",\n" (json_escape Sys.ocaml_version);
-  out "    \"word_size\": %d,\n" Sys.word_size;
-  out "    \"recommended_domains\": %d,\n" (Par_pool.default_jobs ());
-  out "    \"telemetry\": %b\n" (Obs.enabled ());
-  out "  },\n";
-  out "  \"stages\": [\n";
-  let stages = List.rev !stages in
-  List.iteri
-    (fun i (name, dt) ->
-       out "    {\"name\": \"%s\", \"wall_seconds\": %.6f}%s\n"
-         (json_escape name) dt
-         (if i = List.length stages - 1 then "" else ","))
-    stages;
-  out "  ],\n";
-  out "  \"apps\": [\n";
-  List.iteri
-    (fun i run ->
-       let r = run.Experiments.ar_report in
-       let s = run.Experiments.ar_built.Synthetic.b_spec in
-       out
-         "    {\"name\": \"%s\", \"nodes\": %d, \"hb_edges\": %d, \
-          \"passes\": %d, \"races\": %d, \"distinct_races\": %d, \
-          \"analysis_wall_seconds\": %.6f, \"hb_wall_seconds\": %.6f, \
-          \"detect_wall_seconds\": %.6f}%s\n"
-         (json_escape s.Synthetic.s_name)
-         r.Detector.nodes r.Detector.hb_edges r.Detector.fixpoint_passes
-         (List.length r.Detector.all_races)
-         (List.length r.Detector.distinct_races)
-         r.Detector.elapsed_seconds
-         (Detector.phase_seconds r "happens_before")
-         (Detector.phase_seconds r "race_detect")
-         (if i = List.length runs - 1 then "" else ","))
-    runs;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  write_json_file ~flag:"--json" path
+    (Object
+       [ ("schema", String "droidracer-bench/2"); ("jobs", int opts.jobs)
+       ; ("quick", Bool opts.quick); ("corpus_apps", int (List.length runs))
+       ; ( "metadata"
+         , Object
+             [ ("ocaml_version", String Sys.ocaml_version); ("word_size", int Sys.word_size)
+             ; ("recommended_domains", int (Par_pool.default_jobs ()))
+             ; ("telemetry", Bool (Obs.enabled ())) ] )
+       ; ("stages", stages_json (List.rev !stages)); ("apps", list app runs) ])
 
 (* {1 Baseline comparison}
 
@@ -414,41 +391,27 @@ let hb_engine_table (eruns : engine_run list) =
   table
 
 let write_hb_engines_json path (eruns : engine_run list) =
-  let oc =
-    try open_out path
-    with Sys_error msg ->
-      Printf.eprintf "bench: cannot write --hb-engines-json file: %s\n" msg;
-      exit 2
-  in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema\": \"droidracer-hb-engines/1\",\n";
-  out "  \"apps\": [\n";
+  let open Json_parse in
   let engine_fields r =
-    Printf.sprintf
-      "{\"hb_edges\": %d, \"passes\": %d, \"word_ors\": %d, \
-       \"rows_requeued\": %d, \"hb_wall_seconds\": %.6f, \"races\": %d, \
-       \"distinct_races\": %d}"
-      r.Detector.hb_edges r.Detector.fixpoint_passes r.Detector.hb_word_ors
-      r.Detector.hb_rows_requeued
-      (Detector.phase_seconds r "happens_before")
-      (List.length r.Detector.all_races)
-      (List.length r.Detector.distinct_races)
+    Object
+      [ ("hb_edges", int r.Detector.hb_edges); ("passes", int r.Detector.fixpoint_passes)
+      ; ("word_ors", int r.Detector.hb_word_ors)
+      ; ("rows_requeued", int r.Detector.hb_rows_requeued)
+      ; ("hb_wall_seconds", fixed 6 (Detector.phase_seconds r "happens_before"))
+      ; ("races", int (List.length r.Detector.all_races))
+      ; ("distinct_races", int (List.length r.Detector.distinct_races)) ]
   in
-  let rec go = function
-    | [] -> ()
+  let rec apps = function
+    | [] -> []
     | d :: w :: rest when d.er_app = w.er_app ->
-      out "    {\"name\": \"%s\",\n" (json_escape d.er_app);
-      out "     \"dense\": %s,\n" (engine_fields d.er_report);
-      out "     \"worklist\": %s}%s\n"
-        (engine_fields w.er_report)
-        (if rest = [] then "" else ",");
-      go rest
+      Object
+        [ ("name", String d.er_app); ("dense", engine_fields d.er_report)
+        ; ("worklist", engine_fields w.er_report) ]
+      :: apps rest
     | _ :: _ -> assert false
   in
-  go eruns;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  write_json_file ~flag:"--hb-engines-json" path
+    (Object [ ("schema", String "droidracer-hb-engines/1"); ("apps", Array (apps eruns)) ])
 
 (* {1 Binary codec + corpus sweep}
 
@@ -694,46 +657,34 @@ let corpus_codec_stage ~quick ~jobs =
   }
 
 let write_corpus_json path opts (cb : corpus_bench) =
-  let oc = Out_channel.open_text path in
-  let out fmt = Printf.fprintf oc fmt in
-  let rate dt = float_of_int cb.cb_events /. Float.max 1e-9 dt in
-  out "{\n";
-  out "  \"schema\": \"droidracer-corpus-bench/1\",\n";
-  out "  \"quick\": %b,\n" opts.quick;
-  out "  \"jobs\": %d,\n" opts.jobs;
-  out "  \"events\": %d,\n" cb.cb_events;
-  out "  \"text_bytes\": %d,\n" cb.cb_text_bytes;
-  out "  \"binary_bytes\": %d,\n" cb.cb_binary_bytes;
-  out "  \"size_ratio\": %.3f,\n"
-    (float_of_int cb.cb_text_bytes
-     /. Float.max 1.0 (float_of_int cb.cb_binary_bytes));
-  out "  \"text_parse_events_per_sec\": %.1f,\n" (rate cb.cb_text_parse_dt);
-  out "  \"binary_decode_events_per_sec\": %.1f,\n"
-    (rate cb.cb_binary_decode_dt);
-  out "  \"decode_speedup\": %.3f,\n"
-    (cb.cb_text_parse_dt /. Float.max 1e-9 cb.cb_binary_decode_dt);
-  out "  \"race_tables_identical\": %b,\n" cb.cb_tables_identical;
-  out "  \"corpus\": {\"variants\": %d, \"completed\": %d, \"failed\": %d, \
-       \"wall_seconds\": %.3f, \"apps_per_hour\": %.1f, \
-       \"peak_worker_rss_kb\": %.0f},\n"
-    cb.cb_variants cb.cb_completed cb.cb_failed cb.cb_sweep_dt
-    (float_of_int cb.cb_completed /. Float.max 1e-9 cb.cb_sweep_dt *. 3600.0)
-    cb.cb_peak_worker_rss_kb;
-  out "  \"stages\": [\n";
+  let open Json_parse in
+  let rate dt = fixed 1 (float_of_int cb.cb_events /. Float.max 1e-9 dt) in
   let codec_stages =
     List.filter
       (fun (name, _) -> String.length name >= 6 && String.sub name 0 6 = "codec_")
       (List.rev !stages)
   in
-  List.iteri
-    (fun i (name, dt) ->
-       out "    {\"name\": \"%s\", \"wall_seconds\": %.6f}%s\n"
-         (json_escape name) dt
-         (if i = List.length codec_stages - 1 then "" else ","))
-    codec_stages;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  let apps_per_hour = float_of_int cb.cb_completed /. Float.max 1e-9 cb.cb_sweep_dt *. 3600.0 in
+  write_json_file ~flag:"--corpus-json" path
+    (Object
+       [ ("schema", String "droidracer-corpus-bench/1"); ("quick", Bool opts.quick)
+       ; ("jobs", int opts.jobs); ("events", int cb.cb_events)
+       ; ("text_bytes", int cb.cb_text_bytes); ("binary_bytes", int cb.cb_binary_bytes)
+       ; ( "size_ratio"
+         , fixed 3
+             (float_of_int cb.cb_text_bytes /. Float.max 1.0 (float_of_int cb.cb_binary_bytes)) )
+       ; ("text_parse_events_per_sec", rate cb.cb_text_parse_dt)
+       ; ("binary_decode_events_per_sec", rate cb.cb_binary_decode_dt)
+       ; ( "decode_speedup"
+         , fixed 3 (cb.cb_text_parse_dt /. Float.max 1e-9 cb.cb_binary_decode_dt) )
+       ; ("race_tables_identical", Bool cb.cb_tables_identical)
+       ; ( "corpus"
+         , Object
+             [ ("variants", int cb.cb_variants); ("completed", int cb.cb_completed)
+             ; ("failed", int cb.cb_failed); ("wall_seconds", fixed 3 cb.cb_sweep_dt)
+             ; ("apps_per_hour", fixed 1 apps_per_hour)
+             ; ("peak_worker_rss_kb", fixed 0 cb.cb_peak_worker_rss_kb) ] )
+       ; ("stages", stages_json codec_stages) ])
 
 (* {1 Supervision overhead}
 
@@ -873,14 +824,9 @@ let streaming_stage ~quick ~streaming_json =
       stats.Streaming_engine.peak_clock_entries;
     Option.iter
       (fun out ->
-         let oc = Out_channel.open_text out in
-         Out_channel.output_string oc
-           (Streaming_engine.stats_json_string ~label:"longtrace"
-              ~elapsed_seconds:detect_dt
-              ~peak_rss_kb:(Obs.peak_rss_kb ())
-              stats);
-         Out_channel.close oc;
-         Printf.printf "wrote %s\n" out)
+         write_file ~flag:"--streaming-json" out
+           (Streaming_engine.stats_json_string ~label:"longtrace" ~elapsed_seconds:detect_dt
+              ~peak_rss_kb:(Obs.peak_rss_kb ()) stats))
       streaming_json
 
 (* {1 Predictive engine}
@@ -996,41 +942,30 @@ let predict_stage ~quick ~jobs =
   rows
 
 let write_predict_json path opts rows =
-  let oc = Out_channel.open_text path in
-  let out fmt = Printf.fprintf oc fmt in
-  let candidates = List.fold_left (fun a r -> a + r.pb_candidates) 0 rows in
+  let total f = List.fold_left (fun a r -> a + f r) 0 rows in
+  let candidates = total (fun r -> r.pb_candidates) in
   let wall = List.fold_left (fun a r -> a +. r.pb_dt) 0.0 rows in
-  let masked = List.fold_left (fun a r -> a + r.pb_masked) 0 rows in
-  let found = List.fold_left (fun a r -> a + r.pb_masked_found) 0 rows in
-  let extra = List.fold_left (fun a r -> a + r.pb_extra) 0 rows in
-  out "{\n";
-  out "  \"schema\": \"droidracer-predict-bench/1\",\n";
-  out "  \"quick\": %b,\n" opts.quick;
-  out "  \"jobs\": %d,\n" opts.jobs;
-  out "  \"candidate_pairs\": %d,\n" candidates;
-  out "  \"pairs_per_sec\": %.1f,\n"
-    (float_of_int candidates /. Float.max 1e-9 wall);
-  out "  \"extra_races\": %d,\n" extra;
-  out "  \"masked_planted\": %d,\n" masked;
-  out "  \"masked_found\": %d,\n" found;
-  out "  \"masked_recall\": %.3f,\n"
-    (float_of_int found /. Float.max 1.0 (float_of_int masked));
-  out "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-       out
-         "    {\"events\": %d, \"candidates\": %d, \"feasible\": %d, \
-          \"streaming_races\": %d, \"extra\": %d, \"masked\": %d, \
-          \"masked_found\": %d, \"wall_seconds\": %.6f, \
-          \"pairs_per_sec\": %.1f}%s\n"
-         r.pb_events r.pb_candidates r.pb_feasible r.pb_streaming_races
-         r.pb_extra r.pb_masked r.pb_masked_found r.pb_dt
-         (float_of_int r.pb_candidates /. Float.max 1e-9 r.pb_dt)
-         (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  let masked = total (fun r -> r.pb_masked) in
+  let found = total (fun r -> r.pb_masked_found) in
+  let open Json_parse in
+  let per_sec n dt = fixed 1 (float_of_int n /. Float.max 1e-9 dt) in
+  let row r =
+    Object
+      [ ("events", int r.pb_events); ("candidates", int r.pb_candidates)
+      ; ("feasible", int r.pb_feasible); ("streaming_races", int r.pb_streaming_races)
+      ; ("extra", int r.pb_extra); ("masked", int r.pb_masked)
+      ; ("masked_found", int r.pb_masked_found); ("wall_seconds", fixed 6 r.pb_dt)
+      ; ("pairs_per_sec", per_sec r.pb_candidates r.pb_dt) ]
+  in
+  write_json_file ~flag:"--predict-json" path
+    (Object
+       [ ("schema", String "droidracer-predict-bench/1"); ("quick", Bool opts.quick)
+       ; ("jobs", int opts.jobs); ("candidate_pairs", int candidates)
+       ; ("pairs_per_sec", per_sec candidates wall)
+       ; ("extra_races", int (total (fun r -> r.pb_extra))); ("masked_planted", int masked)
+       ; ("masked_found", int found)
+       ; ("masked_recall", fixed 3 (float_of_int found /. Float.max 1.0 (float_of_int masked)))
+       ; ("rows", list row rows) ])
 
 (* {1 Bechamel micro-benchmarks} *)
 
@@ -1144,8 +1079,7 @@ let () =
   let service_stats = service_stage ~quick ~jobs:opts.jobs ~clients:8 in
   Option.iter
     (fun path ->
-       Loadgen.write_json path service_stats;
-       Printf.printf "wrote %s\n" path)
+       write_file ~flag:"--service-json" path (Loadgen.json_string service_stats ^ "\n"))
     opts.service_json;
   section "Binary trace codec + corpus sweep";
   let corpus_bench = corpus_codec_stage ~quick ~jobs:opts.jobs in

@@ -341,6 +341,15 @@ let or_die = function
     prerr_endline ("droidracer: " ^ msg);
     exit 1
 
+(* Writes a report to the file an optional [--...-json] flag names. *)
+let write_report what path_opt contents =
+  Option.iter
+    (fun path ->
+       Out_channel.with_open_text path (fun oc ->
+         Out_channel.output_string oc (contents ()));
+       Printf.eprintf "wrote %s to %s\n%!" what path)
+    path_opt
+
 (* Creates [dir] and any missing parents.  A failed [Sys.mkdir] is only
    an error if the path still is not a directory afterwards, so losing
    a creation race to another process is fine. *)
@@ -461,16 +470,9 @@ let analyze_cmd =
         stats.Streaming_engine.slots_retired;
       if show_all then
         List.iter (fun r -> Format.printf "%a@." Race.pp r) races;
-      Option.iter
-        (fun path ->
-           Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc
-               (Streaming_engine.stats_json_string ~label:file
-                  ~elapsed_seconds:elapsed
-                  ~peak_rss_kb:(Obs.peak_rss_kb ())
-                  stats));
-           Printf.eprintf "wrote streaming stats to %s\n%!" path)
-        streaming_json
+      write_report "streaming stats" streaming_json (fun () ->
+        Streaming_engine.stats_json_string ~label:file ~elapsed_seconds:elapsed
+          ~peak_rss_kb:(Obs.peak_rss_kb ()) stats)
   in
   let run file no_coalesce no_enables show_all coverage jobs engine budget
       streaming_json telemetry =
@@ -551,22 +553,6 @@ let validate_cmd =
     Arg.(value & flag
          & info [ "quiet"; "q" ] ~doc:"Suppress per-file statistics.")
   in
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string buf "\\\""
-         | '\\' -> Buffer.add_string buf "\\\\"
-         | '\n' -> Buffer.add_string buf "\\n"
-         | '\t' -> Buffer.add_string buf "\\t"
-         | '\r' -> Buffer.add_string buf "\\r"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
   let run files json_out quiet =
     let results =
       List.map (fun file -> (file, Wellformed.check_file file)) files
@@ -582,43 +568,34 @@ let validate_cmd =
            Format.printf "%s: REJECTED: %a@." file Wellformed.pp_failure
              failure)
       results;
-    Option.iter
-      (fun path ->
-         let buf = Buffer.create 512 in
-         Buffer.add_string buf
-           "{\"schema\":\"droidracer-validation/1\",\"files\":[";
-         List.iteri
-           (fun i (file, result) ->
-              if i > 0 then Buffer.add_char buf ',';
-              match result with
-              | Ok (stats : Wellformed.stats) ->
-                Printf.bprintf buf
-                  "{\"file\":\"%s\",\"status\":\"ok\",\"events\":%d,\"threads\":%d,\"tasks\":%d,\"locks\":%d}"
-                  (json_escape file) stats.Wellformed.events
-                  stats.Wellformed.threads stats.Wellformed.tasks
-                  stats.Wellformed.locks
-              | Error failure ->
-                let rule =
-                  match failure with
-                  | Wellformed.Violation e ->
-                    Printf.sprintf "\"%s\"" (Wellformed.rule_name e.Wellformed.rule)
-                  | Wellformed.Syntax _ -> "\"syntax\""
-                  | Wellformed.Binary _ -> "\"binary\""
-                  | Wellformed.Io _ -> "\"io\""
-                in
-                Printf.bprintf buf
-                  "{\"file\":\"%s\",\"status\":\"rejected\",\"rule\":%s,\"line\":%s,\"message\":\"%s\"}"
-                  (json_escape file) rule
-                  (match Wellformed.failure_line failure with
-                   | Some l -> string_of_int l
-                   | None -> "null")
-                  (json_escape (Wellformed.failure_message failure)))
-           results;
-         Buffer.add_string buf "]}\n";
-         Out_channel.with_open_text path (fun oc ->
-           Out_channel.output_string oc (Buffer.contents buf));
-         Printf.eprintf "wrote validation report to %s\n%!" path)
-      json_out;
+    write_report "validation report" json_out (fun () ->
+      let file_json (file, result) =
+        let open Json_parse in
+        match result with
+        | Ok (stats : Wellformed.stats) ->
+          Object
+            [ ("file", String file); ("status", String "ok")
+            ; ("events", int stats.Wellformed.events); ("threads", int stats.Wellformed.threads)
+            ; ("tasks", int stats.Wellformed.tasks); ("locks", int stats.Wellformed.locks) ]
+        | Error failure ->
+          let rule =
+            match failure with
+            | Wellformed.Violation e -> Wellformed.rule_name e.Wellformed.rule
+            | Wellformed.Syntax _ -> "syntax"
+            | Wellformed.Binary _ -> "binary"
+            | Wellformed.Io _ -> "io"
+          in
+          Object
+            [ ("file", String file); ("status", String "rejected"); ("rule", String rule)
+            ; ("line", option int (Wellformed.failure_line failure))
+            ; ("message", String (Wellformed.failure_message failure)) ]
+      in
+      Json_parse.(
+        render
+          (Object
+             [ ("schema", String "droidracer-validation/1")
+             ; ("files", list file_json results) ]))
+      ^ "\n");
     let rejected =
       List.length (List.filter (fun (_, r) -> Result.is_error r) results)
     in
@@ -1029,13 +1006,8 @@ let corpus_cmd =
         progress_out
     in
     let write_failures failed =
-      Option.iter
-        (fun path ->
-           Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc
-               (Supervisor.failures_json_string failed));
-           Printf.eprintf "wrote failure report to %s\n%!" path)
-        failures_json
+      write_report "failure report" failures_json (fun () ->
+        Supervisor.failures_json_string failed)
     in
     match trace_dir with
     | Some _ ->
@@ -1052,13 +1024,8 @@ let corpus_cmd =
         if reports <> [] then print_newline ();
         Table.print (Supervisor.failure_table failed)
       end;
-      Option.iter
-        (fun path ->
-           Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc
-               (Supervisor.files_json_string outcomes));
-           Printf.eprintf "wrote race table to %s\n%!" path)
-        races_json;
+      write_report "race table" races_json (fun () ->
+        Supervisor.files_json_string outcomes);
       write_failures failed;
       if failed <> [] then exit 3
     | None ->
@@ -1436,19 +1403,14 @@ let predict_cmd =
              (file, report))
         files
     in
-    Option.iter
-      (fun path ->
-         let witness_path ~file ~pair:(p : Predict.pair_result) =
-           Hashtbl.find_opt witness_paths
-             ( file
-             , p.Predict.pr_pair.Race.first.Race.position
-             , p.Predict.pr_pair.Race.second.Race.position )
-         in
-         Out_channel.with_open_text path (fun oc ->
-           Out_channel.output_string oc
-             (Predict.json_string ~params ~witness_path results));
-         Printf.eprintf "wrote prediction report to %s\n%!" path)
-      json_out;
+    write_report "prediction report" json_out (fun () ->
+      let witness_path ~file ~pair:(p : Predict.pair_result) =
+        Hashtbl.find_opt witness_paths
+          ( file
+          , p.Predict.pr_pair.Race.first.Race.position
+          , p.Predict.pr_pair.Race.second.Race.position )
+      in
+      Predict.json_string ~params ~witness_path results);
     let degraded =
       List.exists (fun (_, r) -> r.Predict.degraded) results
     in
@@ -1641,7 +1603,7 @@ let serve_cmd =
          "Run droidracerd: a persistent analysis daemon that accepts \
           trace submissions over a unix or TCP socket, schedules them \
           across forked workers (each free to use a domain pool), and \
-          streams droidracer-races/1 results back.  Admission is a \
+          streams droidracer-race-response/1 results back.  Admission is a \
           bounded queue with explicit overload rejections; accepted \
           work is journalled for crash recovery; queue pressure \
           degrades the engine down the dense-worklist-streaming \
@@ -1738,7 +1700,7 @@ let submit_cmd =
       match Client.once endpoint ?trace request with
       | Error e -> or_die (Error e)
       | Ok response ->
-        print_endline (Swire.response_json_string response);
+        print_endline (Json_parse.render response);
         Swire.response_status response
     in
     if health || stats then begin
@@ -1773,8 +1735,7 @@ let submit_cmd =
                  with
                  | Error e -> or_die (Error e)
                  | Ok outcome ->
-                   print_endline
-                     (Swire.response_json_string outcome.Client.so_response);
+                   print_endline (Json_parse.render outcome.Client.so_response);
                    Swire.response_status outcome.Client.so_response
                end
                else begin
@@ -1801,7 +1762,7 @@ let submit_cmd =
     (Cmd.info "submit"
        ~doc:
          "Submit trace files to a running droidracerd and print one \
-          droidracer-races/1 JSON response per line.  Also queries \
+          droidracer-race-response/1 JSON response per line.  Also queries \
           daemon health ($(b,--health)) and fetches results of earlier \
           asynchronous submissions ($(b,--result)).  Exits non-zero if \
           any request ends in a status other than completed, accepted \
@@ -1881,11 +1842,7 @@ let loadgen_cmd =
         ~deadline_seconds:deadline ~tag ()
     in
     print_endline (Loadgen.human_summary stats);
-    Option.iter
-      (fun path ->
-         Loadgen.write_json path stats;
-         Printf.eprintf "wrote service bench to %s\n%!" path)
-      json_out;
+    write_report "service bench" json_out (fun () -> Loadgen.json_string stats ^ "\n");
     if Loadgen.lost stats > 0 then exit 1
   in
   Cmd.v

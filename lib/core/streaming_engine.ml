@@ -541,33 +541,19 @@ let detect_file ?config path =
 
 let stats_json_string ?(label = "streaming") ~elapsed_seconds ~peak_rss_kb
     (s : stats) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"droidracer-streaming/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"label\": %S,\n" label);
-  Buffer.add_string b (Printf.sprintf "  \"events\": %d,\n" s.events);
-  Buffer.add_string b
-    (Printf.sprintf "  \"elapsed_seconds\": %.6f,\n" elapsed_seconds);
-  Buffer.add_string b
-    (Printf.sprintf "  \"events_per_sec\": %.1f,\n"
-       (if elapsed_seconds > 0.0 then float_of_int s.events /. elapsed_seconds
-        else 0.0));
-  Buffer.add_string b (Printf.sprintf "  \"races\": %d,\n" s.races);
-  Buffer.add_string b
-    (Printf.sprintf "  \"slots_allocated\": %d,\n" s.slots_allocated);
-  Buffer.add_string b
-    (Printf.sprintf "  \"peak_live_slots\": %d,\n" s.peak_live_slots);
-  Buffer.add_string b
-    (Printf.sprintf "  \"slots_retired\": %d,\n" s.slots_retired);
-  Buffer.add_string b
-    (Printf.sprintf "  \"peak_clock_entries\": %d,\n" s.peak_clock_entries);
-  Buffer.add_string b
-    (Printf.sprintf "  \"epoch_fast_path\": %d,\n" s.fast_path);
-  Buffer.add_string b (Printf.sprintf "  \"promotions\": %d,\n" s.promotions);
-  Buffer.add_string b (Printf.sprintf "  \"demotions\": %d,\n" s.demotions);
-  Buffer.add_string b
-    (Printf.sprintf "  \"folded_tasks\": %d,\n" s.folded_tasks);
-  Buffer.add_string b (Printf.sprintf "  \"gc_sweeps\": %d,\n" s.gc_sweeps);
-  Buffer.add_string b (Printf.sprintf "  \"peak_rss_kb\": %d\n" peak_rss_kb);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let open Json_parse in
+  let events_per_sec =
+    if elapsed_seconds > 0.0 then float_of_int s.events /. elapsed_seconds else 0.0
+  in
+  render ~layout:Indented
+    (Object
+       [ ("schema", String "droidracer-streaming/1"); ("label", String label)
+       ; ("events", int s.events); ("elapsed_seconds", fixed 6 elapsed_seconds)
+       ; ("events_per_sec", fixed 1 events_per_sec); ("races", int s.races)
+       ; ("slots_allocated", int s.slots_allocated); ("peak_live_slots", int s.peak_live_slots)
+       ; ("slots_retired", int s.slots_retired)
+       ; ("peak_clock_entries", int s.peak_clock_entries)
+       ; ("epoch_fast_path", int s.fast_path); ("promotions", int s.promotions)
+       ; ("demotions", int s.demotions); ("folded_tasks", int s.folded_tasks)
+       ; ("gc_sweeps", int s.gc_sweeps); ("peak_rss_kb", int peak_rss_kb) ])
+  ^ "\n"

@@ -93,31 +93,20 @@ let write ~dir ~binary v =
   path
 
 let manifest_json_string ~binary variants =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"droidracer-corpus/1\",\"binary\":%b,\"count\":%d,\"variants\":["
-    binary (List.length variants);
-  List.iteri
-    (fun i v ->
-       if i > 0 then Buffer.add_char buf ',';
-       let c = v.v_config in
-       Printf.bprintf buf
-         "{\"name\":\"%s\",\"file\":\"%s\",\"events\":%d,\"loopers\":%d,\"locations\":%d,\"locks\":%d,\"accesses_per_task\":%d,\"fork_every\":%d,\"lock_every\":%d,\"seed\":%d,\"planted\":["
-         v.v_name (filename ~binary v) v.v_events c.Longtrace.loopers
-         c.Longtrace.locations c.Longtrace.locks c.Longtrace.accesses_per_task
-         c.Longtrace.fork_every c.Longtrace.lock_every c.Longtrace.seed;
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" p)
-         v.v_planted;
-       Buffer.add_string buf "],\"masked\":[";
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" p)
-         v.v_masked;
-       Buffer.add_string buf "]}")
-    variants;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let variant v =
+    let c = v.v_config in
+    Object
+      [ ("name", String v.v_name); ("file", String (filename ~binary v))
+      ; ("events", int v.v_events); ("loopers", int c.Longtrace.loopers)
+      ; ("locations", int c.Longtrace.locations); ("locks", int c.Longtrace.locks)
+      ; ("accesses_per_task", int c.Longtrace.accesses_per_task)
+      ; ("fork_every", int c.Longtrace.fork_every); ("lock_every", int c.Longtrace.lock_every)
+      ; ("seed", int c.Longtrace.seed); ("planted", strings v.v_planted)
+      ; ("masked", strings v.v_masked) ]
+  in
+  render
+    (Object
+       [ ("schema", String "droidracer-corpus/1"); ("binary", Bool binary)
+       ; ("count", int (List.length variants)); ("variants", list variant variants) ])
+  ^ "\n"

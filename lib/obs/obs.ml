@@ -791,149 +791,89 @@ let summary_string () =
 
 (* {1 JSON exporters} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let comma_sep buf emit items =
-  List.iteri
-    (fun i x ->
-       if i > 0 then Buffer.add_string buf ",";
-       emit x)
-    items
-
 let metrics_json_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"schema\": \"droidracer-metrics/2\",\n";
-  out "  \"spans_recorded\": %d,\n" (List.length snap.spans);
-  out "  \"processes\": [";
-  comma_sep buf
-    (fun (pid, label) ->
-       out "\n    {\"pid\": %d, \"label\": \"%s\"}" pid (json_escape label))
-    snap.processes;
-  out "\n  ],\n";
-  out "  \"counters\": {";
-  comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %d" (json_escape name) v)
-    snap.counters;
-  out "\n  },\n";
-  out "  \"gauges\": {";
-  comma_sep buf
-    (fun (name, v) -> out "\n    \"%s\": %.6f" (json_escape name) v)
-    snap.gauges;
-  out "\n  },\n";
-  out "  \"histograms\": {";
-  comma_sep buf
-    (fun (name, h) ->
-       out
-         "\n    \"%s\": {\"count\": %d, \"sum\": %.6f, \"min\": %.6f, \
-          \"max\": %.6f, \"mean\": %.6f, \"p50\": %.6f, \"p90\": %.6f, \
-          \"p99\": %.6f}"
-         (json_escape name) h.h_count h.h_sum h.h_min h.h_max
-         (if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count)
-         h.h_p50 h.h_p90 h.h_p99)
-    snap.histograms;
-  out "\n  },\n";
-  out "  \"domains\": [";
-  comma_sep buf
-    (fun d ->
-       out
-         "\n    {\"pid\": %d, \"domain\": %d, \"spans\": %d, \
-          \"busy_seconds\": %.6f}"
-         d.d_pid d.d_id d.d_spans d.d_busy_seconds)
-    snap.domains;
-  out "\n  ]\n}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let histogram h =
+    let mean = if h.h_count = 0 then 0.0 else h.h_sum /. float_of_int h.h_count in
+    Object
+      (("count", int h.h_count)
+       :: List.map (fun (k, v) -> (k, fixed 6 v))
+            [ ("sum", h.h_sum); ("min", h.h_min); ("max", h.h_max); ("mean", mean)
+            ; ("p50", h.h_p50); ("p90", h.h_p90); ("p99", h.h_p99) ])
+  in
+  let domain d =
+    Object
+      [ ("pid", int d.d_pid); ("domain", int d.d_id); ("spans", int d.d_spans)
+      ; ("busy_seconds", fixed 6 d.d_busy_seconds) ]
+  in
+  render ~layout:Indented
+    (Object
+       [ ("schema", String "droidracer-metrics/2")
+       ; ("spans_recorded", int (List.length snap.spans))
+       ; ( "processes"
+         , list (fun (pid, label) -> Object [ ("pid", int pid); ("label", String label) ])
+             snap.processes )
+       ; ("counters", Object (List.map (fun (name, v) -> (name, int v)) snap.counters))
+       ; ("gauges", Object (List.map (fun (name, v) -> (name, fixed 6 v)) snap.gauges))
+       ; ("histograms", Object (List.map (fun (name, h) -> (name, histogram h)) snap.histograms))
+       ; ("domains", list domain snap.domains) ])
+  ^ "\n"
 
 let series_json_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n  \"schema\": \"droidracer-series/1\",\n";
-  out "  \"sample_period_seconds\": %.6f,\n"
-    (Int64.to_float (Atomic.get sample_period_ns) /. 1e9);
-  out "  \"series\": [";
-  comma_sep buf
-    (fun (name, samples) ->
-       out "\n    {\"name\": \"%s\", \"samples\": [" (json_escape name);
-       comma_sep buf
-         (fun s ->
-            out "\n      {\"pid\": %d, \"t_ns\": %Ld, \"value\": %.6f}" s.s_pid
-              s.s_ts_ns s.s_value)
-         samples;
-       out "\n    ]}")
-    snap.series;
-  out "\n  ]\n}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let sample s =
+    Object
+      [ ("pid", int s.s_pid); ("t_ns", Literal (Int64.to_string s.s_ts_ns))
+      ; ("value", fixed 6 s.s_value) ]
+  in
+  render ~layout:Indented
+    (Object
+       [ ("schema", String "droidracer-series/1")
+       ; ("sample_period_seconds", fixed 6 (Int64.to_float (Atomic.get sample_period_ns) /. 1e9))
+       ; ( "series"
+         , list
+             (fun (name, samples) ->
+                Object [ ("name", String name); ("samples", list sample samples) ])
+             snap.series ) ])
+  ^ "\n"
 
 let chrome_trace_string () =
   let snap = snapshot () in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let us ns = Int64.to_float ns /. 1e3 in
-  out "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else out ",";
-    out "\n"
+  let open Json_parse in
+  let us ns = fixed 3 (Int64.to_float ns /. 1e3) in
+  let meta name pid tid label =
+    Object
+      [ ("name", String name); ("ph", String "M"); ("pid", int pid); ("tid", int tid)
+      ; ("args", Object [ ("name", String label) ]) ]
   in
-  List.iter
-    (fun (pid, label) ->
-       sep ();
-       out
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         pid (json_escape label))
-    snap.processes;
-  List.iter
-    (fun d ->
-       sep ();
-       out
-         "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-         d.d_pid d.d_id d.d_id)
-    snap.domains;
-  List.iter
-    (fun s ->
-       sep ();
-       out
-         "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-         (json_escape s.sp_name) (us s.sp_start_ns) (us s.sp_dur_ns) s.sp_pid
-         s.sp_domain;
-       if s.sp_args <> [] then begin
-         out ",\"args\":{";
-         comma_sep buf
-           (fun (k, v) ->
-              out "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-           s.sp_args;
-         out "}"
-       end;
-       out "}")
-    snap.spans;
-  List.iter
-    (fun (name, samples) ->
-       List.iter
-         (fun s ->
-            sep ();
-            out
-              "{\"name\":\"%s\",\"cat\":\"droidracer\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"value\":%.6f}}"
-              (json_escape name) (us s.s_ts_ns) s.s_pid s.s_value)
-         samples)
-    snap.series;
-  out "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  let span s =
+    Object
+      ([ ("name", String s.sp_name); ("cat", String "droidracer"); ("ph", String "X")
+       ; ("ts", us s.sp_start_ns); ("dur", us s.sp_dur_ns); ("pid", int s.sp_pid)
+       ; ("tid", int s.sp_domain) ]
+       @
+       if s.sp_args = [] then []
+       else [ ("args", Object (List.map (fun (k, v) -> (k, String v)) s.sp_args)) ])
+  in
+  let counter name s =
+    Object
+      [ ("name", String name); ("cat", String "droidracer"); ("ph", String "C")
+      ; ("ts", us s.s_ts_ns); ("pid", int s.s_pid); ("tid", int 0)
+      ; ("args", Object [ ("value", fixed 6 s.s_value) ]) ]
+  in
+  let events =
+    List.map (fun (pid, label) -> meta "process_name" pid 0 label) snap.processes
+    @ List.map
+        (fun d -> meta "thread_name" d.d_pid d.d_id (Printf.sprintf "domain-%d" d.d_id))
+        snap.domains
+    @ List.map span snap.spans
+    @ List.concat_map (fun (name, samples) -> List.map (counter name) samples) snap.series
+  in
+  render ~layout:Indented
+    (Object [ ("traceEvents", Array events); ("displayTimeUnit", String "ms") ])
+  ^ "\n"
 
 let write_string path s =
   let oc = open_out path in

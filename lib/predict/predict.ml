@@ -652,104 +652,65 @@ let pp_report ppf report =
 
 (* {1 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let access_json (a : Race.access) =
+  let open Json_parse in
+  Object
+    [ ("position", int a.Race.position)
+    ; ("kind", String (if a.Race.is_write then "write" else "read"))
+    ; ("location", String (Ident.Location.to_string a.Race.location))
+    ; ("thread", int (Ident.Thread_id.to_int a.Race.thread))
+    ; ("task", option (fun t -> String (Ident.Task_id.to_string t)) a.Race.task) ]
 
-let access_json buf (a : Race.access) =
-  Printf.bprintf buf
-    "{\"position\":%d,\"kind\":\"%s\",\"location\":\"%s\",\"thread\":%d,\"task\":%s}"
-    a.Race.position
-    (if a.Race.is_write then "write" else "read")
-    (json_escape (Ident.Location.to_string a.Race.location))
-    (Ident.Thread_id.to_int a.Race.thread)
-    (match a.Race.task with
-     | Some t -> Printf.sprintf "\"%s\"" (json_escape (Ident.Task_id.to_string t))
-     | None -> "null")
-
-let pair_json buf ~witness_path ~file p =
+let pair_json ~witness_path ~file p =
+  let open Json_parse in
   let verdict, reason =
     match p.pr_verdict with
-    | Feasible _ -> ("feasible", None)
-    | Refuted r -> ("refuted", Some (refutation_label r))
-    | Unknown u -> ("unknown", Some (unknown_label u))
+    | Feasible _ -> ("feasible", [])
+    | Refuted r -> ("refuted", [ ("reason", String (refutation_label r)) ])
+    | Unknown u -> ("unknown", [ ("reason", String (unknown_label u)) ])
   in
-  Printf.bprintf buf "{\"first\":";
-  access_json buf p.pr_pair.Race.first;
-  Printf.bprintf buf ",\"second\":";
-  access_json buf p.pr_pair.Race.second;
-  Printf.bprintf buf ",\"observed\":%b,\"verdict\":\"%s\"" p.pr_observed
-    verdict;
-  (match reason with
-   | Some r -> Printf.bprintf buf ",\"reason\":\"%s\"" r
-   | None -> ());
-  (match p.pr_window with
-   | Some (lo, hi) ->
-     Printf.bprintf buf ",\"window\":[%d,%d],\"window_events\":%d" lo hi
-       (hi - lo + 1)
-   | None -> Printf.bprintf buf ",\"window\":null");
-  Printf.bprintf buf ",\"iterations\":%d" p.pr_iterations;
-  (match p.pr_verdict with
-   | Feasible w ->
-     Printf.bprintf buf
-       ",\"flipped\":%b,\"witness_events\":%d,\"replay\":{\"wellformed\":%b,\"step\":%s,\"unordered\":%b}"
-       w.w_flipped (Trace.length w.w_trace) w.w_wellformed
-       (match w.w_replayed with
-        | Some ok -> string_of_bool ok
-        | None -> "null")
-       w.w_unordered;
-     (match witness_path ~file ~pair:p with
-      | Some path ->
-        Printf.bprintf buf ",\"witness\":\"%s\"" (json_escape path)
-      | None -> Printf.bprintf buf ",\"witness\":null")
-   | Refuted _ | Unknown _ -> ());
-  Buffer.add_char buf '}'
+  let window =
+    match p.pr_window with
+    | Some (lo, hi) ->
+      [ ("window", Array [ int lo; int hi ]); ("window_events", int (hi - lo + 1)) ]
+    | None -> [ ("window", Null) ]
+  in
+  let witness =
+    match p.pr_verdict with
+    | Feasible w ->
+      [ ("flipped", Bool w.w_flipped); ("witness_events", int (Trace.length w.w_trace))
+      ; ( "replay"
+        , Object
+            [ ("wellformed", Bool w.w_wellformed)
+            ; ("step", option (fun ok -> Bool ok) w.w_replayed)
+            ; ("unordered", Bool w.w_unordered) ] )
+      ; ("witness", option (fun path -> String path) (witness_path ~file ~pair:p)) ]
+    | Refuted _ | Unknown _ -> []
+  in
+  Object
+    ([ ("first", access_json p.pr_pair.Race.first)
+     ; ("second", access_json p.pr_pair.Race.second)
+     ; ("observed", Bool p.pr_observed); ("verdict", String verdict) ]
+     @ reason @ window @ [ ("iterations", int p.pr_iterations) ] @ witness)
 
 let json_string ~params ~witness_path files =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\"schema\":\"droidracer-predictions/1\",\"window\":%d,\"max_iterations\":%d,\"files\":["
-    params.window params.max_iterations;
-  List.iteri
-    (fun i (file, report) ->
-       if i > 0 then Buffer.add_char buf ',';
-       Printf.bprintf buf
-         "{\"file\":\"%s\",\"events\":%d,\"replayable\":%b,\"degraded\":%b,\"summary\":{\"candidates\":%d,\"observed\":%d,\"feasible\":%d,\"extra\":%d,\"refuted\":%d,\"unknown\":%d,\"dropped\":%d},\"feasible_locations\":["
-         (json_escape file)
-         (Trace.length report.trace)
-         report.replayable_input report.degraded report.candidates
-         report.observed report.feasible report.extra report.refuted
-         report.unknown report.dropped;
-       List.iteri
-         (fun j loc ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (json_escape loc))
-         (feasible_locations report);
-       Buffer.add_string buf "],\"extra_locations\":[";
-       List.iteri
-         (fun j loc ->
-            if j > 0 then Buffer.add_char buf ',';
-            Printf.bprintf buf "\"%s\"" (json_escape loc))
-         (extra_locations report);
-       Buffer.add_string buf "],\"pairs\":[";
-       List.iteri
-         (fun j p ->
-            if j > 0 then Buffer.add_char buf ',';
-            pair_json buf ~witness_path ~file p)
-         report.pairs;
-       Buffer.add_string buf "]}")
-    files;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let file (file, report) =
+    Object
+      [ ("file", String file); ("events", int (Trace.length report.trace))
+      ; ("replayable", Bool report.replayable_input); ("degraded", Bool report.degraded)
+      ; ( "summary"
+        , Object
+            [ ("candidates", int report.candidates); ("observed", int report.observed)
+            ; ("feasible", int report.feasible); ("extra", int report.extra)
+            ; ("refuted", int report.refuted); ("unknown", int report.unknown)
+            ; ("dropped", int report.dropped) ] )
+      ; ("feasible_locations", strings (feasible_locations report))
+      ; ("extra_locations", strings (extra_locations report))
+      ; ("pairs", list (pair_json ~witness_path ~file) report.pairs) ]
+  in
+  render
+    (Object
+       [ ("schema", String "droidracer-predictions/1"); ("window", int params.window)
+       ; ("max_iterations", int params.max_iterations); ("files", list file files) ])
+  ^ "\n"

@@ -73,135 +73,26 @@ let b64_decode s =
     s;
   if !ok then Some (Buffer.contents buf) else None
 
-(* {1 JSON strings} *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* A scanner for exactly the object shape this module writes: string
-   keys, string values, no nesting.  Returns the fields in order, or
-   [None] for anything malformed — a torn line must never raise. *)
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then begin
-      advance ();
-      true
-    end
-    else false
-  in
-  let parse_string () =
-    skip_ws ();
-    if peek () <> Some '"' then None
-    else begin
-      advance ();
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then None
-        else
-          match line.[!pos] with
-          | '"' ->
-            advance ();
-            Some (Buffer.contents buf)
-          | '\\' ->
-            advance ();
-            if !pos >= n then None
-            else begin
-              (match line.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                 if !pos + 4 < n then begin
-                   let hex = String.sub line (!pos + 1) 4 in
-                   (match int_of_string_opt ("0x" ^ hex) with
-                    | Some code when Uchar.is_valid code ->
-                      Buffer.add_utf_8_uchar buf (Uchar.of_int code)
-                    | Some _ | None -> Buffer.add_char buf '?');
-                   pos := !pos + 4
-                 end
-               | _ -> Buffer.add_char buf line.[!pos]);
-              advance ();
-              go ()
-            end
-          | c ->
-            Buffer.add_char buf c;
-            advance ();
-            go ()
-      in
-      go ()
-    end
-  in
-  if not (expect '{') then None
-  else begin
-    let fields = ref [] in
-    let rec members () =
-      match parse_string () with
-      | None -> None
-      | Some key ->
-        if not (expect ':') then None
-        else (
-          match parse_string () with
-          | None -> None
-          | Some v ->
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            (match peek () with
-             | Some ',' ->
-               advance ();
-               members ()
-             | Some '}' ->
-               advance ();
-               skip_ws ();
-               if !pos = n then Some (List.rev !fields) else None
-             | _ -> None))
-    in
-    members ()
-  end
-
 (* {1 Records} *)
 
 let record_digest ~app ~encoded = Digest.to_hex (Digest.string (app ^ "\x00" ^ encoded))
 
 let record_line ~app ~payload =
   let encoded = b64_encode payload in
-  Printf.sprintf {|{"digest":"%s","app":"%s","payload":"%s"}|}
-    (record_digest ~app ~encoded)
-    (json_escape app) encoded
+  Json_parse.render
+    (Object
+       [ ("digest", String (record_digest ~app ~encoded)); ("app", String app)
+       ; ("payload", String encoded) ])
 
+(* A torn or corrupt line is [None], never an exception. *)
 let parse_record line =
-  match parse_fields line with
-  | Some [ ("digest", digest); ("app", app); ("payload", encoded) ]
+  match Json_parse.parse line with
+  | Ok
+      (Object
+         [ ("digest", String digest); ("app", String app); ("payload", String encoded) ])
     when String.equal digest (record_digest ~app ~encoded) ->
     Option.map (fun payload -> (app, payload)) (b64_decode encoded)
-  | Some _ | None -> None
+  | Ok _ | Error _ -> None
 
 let binary_digest =
   lazy
@@ -209,7 +100,9 @@ let binary_digest =
      with Sys_error _ -> "unknown")
 
 let header_line () =
-  Printf.sprintf {|{"schema":"%s","binary":"%s"}|} schema (Lazy.force binary_digest)
+  Json_parse.render
+    (Object
+       [ ("schema", String schema); ("binary", String (Lazy.force binary_digest)) ])
 
 (* {1 The journal} *)
 
@@ -252,14 +145,15 @@ let warning_message = function
       n
       (if n = 1 then "" else "s")
 
-let warning_json w =
+let warning_to_json w =
   let kind, count =
     match w with
     | Torn_lines n -> ("torn_lines", n)
     | Stale_records n -> ("stale_records", n)
   in
-  Printf.sprintf {|{"kind":"%s","count":%d,"message":"%s"}|} kind count
-    (json_escape (warning_message w))
+  Json_parse.(
+    Object
+      [ ("kind", String kind); ("count", int count); ("message", String (warning_message w)) ])
 
 let read_lines path =
   let ic = In_channel.open_bin path in
@@ -274,12 +168,12 @@ let replay path =
   | exception Sys_error _ -> Ok ([], 0, 0)
   | [] -> Ok ([], 0, 0)
   | header :: records ->
-    (match parse_fields header with
-     | Some (("schema", s) :: rest) when String.equal s schema ->
+    (match Json_parse.parse header with
+     | Ok (Object (("schema", String s) :: rest)) when String.equal s schema ->
        let same_binary =
          match List.assoc_opt "binary" rest with
-         | Some d -> String.equal d (Lazy.force binary_digest)
-         | None -> false
+         | Some (String d) -> String.equal d (Lazy.force binary_digest)
+         | Some _ | None -> false
        in
        let good, torn =
          List.fold_left
@@ -292,10 +186,10 @@ let replay path =
        let good = List.rev good in
        if same_binary then Ok (good, torn, 0)
        else Ok ([], torn, List.length good)
-     | Some (("schema", s) :: _) ->
+     | Ok (Object (("schema", String s) :: _)) ->
        Error
          (Printf.sprintf "journal %s has schema %S, expected %S" path s schema)
-     | Some _ | None ->
+     | Ok _ | Error _ ->
        Error (Printf.sprintf "journal %s has no valid header line" path))
 
 let fsync_write fd line =

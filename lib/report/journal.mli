@@ -65,7 +65,7 @@ val warnings : t -> warning list
 val warning_message : warning -> string
 (** Human-readable one-liner. *)
 
-val warning_json : warning -> string
+val warning_to_json : warning -> Json_parse.t
 (** One JSON object: [{"kind":…,"count":…,"message":…}]. *)
 
 val append : t -> app:string -> payload:string -> unit

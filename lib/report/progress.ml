@@ -30,36 +30,17 @@ type t =
   ; mutable p_finished : bool
   }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* The per-engine fallback counters, as a compact JSON object keyed by
-   edge name ("dense_worklist", ...).  Reading them through [Obs] keeps
+(* The per-engine fallback counters, as a JSON object keyed by edge
+   name ("dense_worklist", ...).  Reading them through [Obs] keeps
    this module ignorant of which engines exist; in isolated mode the
    counts grow as worker telemetry is absorbed. *)
 let fallbacks_json () =
   let prefix = "supervisor.fallbacks." in
   let plen = String.length prefix in
-  let entries =
-    Obs.counters_with_prefix prefix
-    |> List.map (fun (name, v) ->
-      let edge = String.sub name plen (String.length name - plen) in
-      Printf.sprintf "\"%s\":%d" (json_escape edge) v)
-  in
-  "{" ^ String.concat "," entries ^ "}"
+  Json_parse.Object
+    (Obs.counters_with_prefix prefix
+     |> List.map (fun (name, v) ->
+       (String.sub name plen (String.length name - plen), Json_parse.int v)))
 
 let fallbacks_human () =
   match Obs.counters_with_prefix "supervisor.fallbacks." with
@@ -68,11 +49,11 @@ let fallbacks_human () =
     let total = List.fold_left (fun acc (_, v) -> acc + v) 0 entries in
     Printf.sprintf " | %d fallback%s" total (if total = 1 then "" else "s")
 
-let emit_record t line =
+let emit_record t json =
   match t.p_out with
   | None -> ()
   | Some oc ->
-    output_string oc line;
+    output_string oc (Json_parse.render json);
     output_char oc '\n';
     flush oc
 
@@ -98,9 +79,10 @@ let create ?out ?heartbeat ~mode ~jobs ~total () =
     }
   in
   emit_record t
-    (Printf.sprintf
-       "{\"schema\":\"droidracer-progress/1\",\"mode\":\"%s\",\"jobs\":%d,\"total\":%d}"
-       (json_escape mode) jobs total);
+    Json_parse.(
+      Object
+        [ ("schema", String "droidracer-progress/1"); ("mode", String mode)
+        ; ("jobs", int jobs); ("total", int total) ]);
   t
 
 let rates t =
@@ -130,11 +112,14 @@ let app_done t ~app ~outcome ~engine ~events ~elapsed_seconds
   t.p_events <- t.p_events + events;
   let _, events_per_sec, eta_seconds = rates t in
   emit_record t
-    (Printf.sprintf
-       "{\"type\":\"app\",\"app\":\"%s\",\"outcome\":\"%s\",\"engine\":\"%s\",\"events\":%d,\"elapsed_seconds\":%.6f,\"resumed\":%b,\"done\":%d,\"total\":%d,\"events_per_sec\":%.3f,\"eta_seconds\":%.3f,\"fallbacks\":%s}"
-       (json_escape app) (json_escape outcome) (json_escape engine) events
-       elapsed_seconds resumed t.p_done t.p_total events_per_sec eta_seconds
-       (fallbacks_json ()));
+    Json_parse.(
+      Object
+        [ ("type", String "app"); ("app", String app); ("outcome", String outcome)
+        ; ("engine", String engine); ("events", int events)
+        ; ("elapsed_seconds", fixed 6 elapsed_seconds); ("resumed", Bool resumed)
+        ; ("done", int t.p_done); ("total", int t.p_total)
+        ; ("events_per_sec", fixed 3 events_per_sec); ("eta_seconds", fixed 3 eta_seconds)
+        ; ("fallbacks", fallbacks_json ()) ]);
   emit_heartbeat t
     (Printf.sprintf "[%s] %s: %s (%s, %d events, %.2fs)%s | %.0f ev/s"
        (count_label t) app outcome engine events elapsed_seconds
@@ -151,10 +136,12 @@ let finish t =
     t.p_finished <- true;
     let elapsed, events_per_sec, _ = rates t in
     emit_record t
-      (Printf.sprintf
-         "{\"type\":\"summary\",\"done\":%d,\"total\":%d,\"completed\":%d,\"failed\":%d,\"events\":%d,\"elapsed_seconds\":%.6f,\"events_per_sec\":%.3f,\"fallbacks\":%s}"
-         t.p_done t.p_total t.p_completed t.p_failed t.p_events elapsed
-         events_per_sec (fallbacks_json ()));
+      Json_parse.(
+        Object
+          [ ("type", String "summary"); ("done", int t.p_done); ("total", int t.p_total)
+          ; ("completed", int t.p_completed); ("failed", int t.p_failed)
+          ; ("events", int t.p_events); ("elapsed_seconds", fixed 6 elapsed)
+          ; ("events_per_sec", fixed 3 events_per_sec); ("fallbacks", fallbacks_json ()) ]);
     emit_heartbeat t
       (Printf.sprintf
          "sweep done: %s apps (%d completed, %d failed) in %.1fs%s"

@@ -86,38 +86,17 @@ let failure_table fs =
     fs;
   table
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let failures_json_string fs =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"schema\":\"droidracer-failures/1\",\"failures\":[";
-  List.iteri
-    (fun i f ->
-       if i > 0 then Buffer.add_char buf ',';
-       Printf.bprintf buf
-         "{\"app\":\"%s\",\"outcome\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d,\"backoff_seconds\":%.6f}"
-         (json_escape f.f_app)
-         (reason_label f.f_reason)
-         (json_escape (reason_detail f.f_reason))
-         (json_escape f.f_engine)
-         f.f_elapsed f.f_retries f.f_backoff)
-    fs;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let failure f =
+    Object
+      [ ("app", String f.f_app); ("outcome", String (reason_label f.f_reason))
+      ; ("reason", String (reason_detail f.f_reason)); ("engine", String f.f_engine)
+      ; ("elapsed_seconds", fixed 6 f.f_elapsed); ("retries", int f.f_retries)
+      ; ("backoff_seconds", fixed 6 f.f_backoff) ]
+  in
+  render (Object [ ("schema", String "droidracer-failures/1"); ("failures", list failure fs) ])
+  ^ "\n"
 
 (* {1 Fault injection}
 
@@ -911,30 +890,20 @@ let file_table reports =
    differ only in [file] (and timings) — the corpus gate's equality
    check relies on that. *)
 let files_json_string outcomes =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"droidracer-races/1\",\"files\":[";
-  List.iteri
-    (fun i outcome ->
-       if i > 0 then Buffer.add_char buf ',';
-       match outcome with
-       | File_completed r ->
-         Printf.bprintf buf
-           "{\"name\":\"%s\",\"file\":\"%s\",\"status\":\"completed\",\"events\":%d,\"races\":%d,\"distinct_races\":%d,\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"locations\":["
-           (json_escape r.fr_name) (json_escape r.fr_file) r.fr_events
-           r.fr_races r.fr_distinct (json_escape r.fr_engine) r.fr_elapsed;
-         List.iteri
-           (fun j loc ->
-              if j > 0 then Buffer.add_char buf ',';
-              Printf.bprintf buf "\"%s\"" (json_escape loc))
-           r.fr_locations;
-         Buffer.add_string buf "]}"
-       | File_failed f ->
-         Printf.bprintf buf
-           "{\"name\":\"%s\",\"status\":\"%s\",\"reason\":\"%s\",\"engine\":\"%s\",\"elapsed_seconds\":%.6f,\"retries\":%d}"
-           (json_escape f.f_app)
-           (reason_label f.f_reason)
-           (json_escape (reason_detail f.f_reason))
-           (json_escape f.f_engine) f.f_elapsed f.f_retries)
-    outcomes;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
+  let open Json_parse in
+  let file = function
+    | File_completed r ->
+      Object
+        [ ("name", String r.fr_name); ("file", String r.fr_file)
+        ; ("status", String "completed"); ("events", int r.fr_events)
+        ; ("races", int r.fr_races); ("distinct_races", int r.fr_distinct)
+        ; ("engine", String r.fr_engine); ("elapsed_seconds", fixed 6 r.fr_elapsed)
+        ; ("locations", strings r.fr_locations) ]
+    | File_failed f ->
+      Object
+        [ ("name", String f.f_app); ("status", String (reason_label f.f_reason))
+        ; ("reason", String (reason_detail f.f_reason)); ("engine", String f.f_engine)
+        ; ("elapsed_seconds", fixed 6 f.f_elapsed); ("retries", int f.f_retries) ]
+  in
+  render (Object [ ("schema", String "droidracer-races/1"); ("files", list file outcomes) ])
+  ^ "\n"

@@ -163,63 +163,52 @@ let percentile sorted p =
     sorted.(max 0 (min (n - 1) idx))
   end
 
+(* Latencies of the requests that got a terminal response, ascending. *)
+let latencies stats =
+  let a =
+    stats.lg_results
+    |> List.filter_map (fun r -> if r.q_status = "lost" then None else Some r.q_latency)
+    |> Array.of_list
+  in
+  Array.sort compare a;
+  a
+
 let json_string stats =
   let results = stats.lg_results in
   let total = List.length results in
-  let latencies =
-    results
-    |> List.filter (fun r -> r.q_status <> "lost")
-    |> List.map (fun r -> r.q_latency)
-    |> Array.of_list
-  in
-  Array.sort compare latencies;
-  let mean =
-    if Array.length latencies = 0 then 0.0
-    else Array.fold_left ( +. ) 0.0 latencies /. float_of_int (Array.length latencies)
-  in
-  let counts label entries =
-    Printf.sprintf {|"%s":{%s}|} label
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Wire.json_escape k) v)
-            entries))
-  in
+  let latencies = latencies stats in
+  let n = Array.length latencies in
+  let mean = if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 latencies /. float_of_int n in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
   let ncompleted = completed stats in
-  Printf.sprintf
-    {|{"schema":"droidracer-service-bench/1","clients":%d,"requests_per_client":%d,"total_requests":%d,"completed":%d,"failed":%d,"lost":%d,"resumed":%d,"overloaded_retries":%d,"reconnects":%d,"wall_seconds":%.6f,"traces_per_sec":%.3f,"latency_seconds":{"p50":%.6f,"p90":%.6f,"p99":%.6f,"min":%.6f,"max":%.6f,"mean":%.6f},%s,%s,%s}|}
-    stats.lg_clients stats.lg_requests_per_client total ncompleted
-    (total - ncompleted - lost stats)
-    (lost stats)
-    (List.length (List.filter (fun r -> r.q_resumed) results))
-    (sum (fun r -> r.q_overloaded))
-    (sum (fun r -> r.q_reconnects))
-    stats.lg_wall
-    (float_of_int ncompleted /. Float.max 1e-9 stats.lg_wall)
-    (percentile latencies 50.0) (percentile latencies 90.0)
-    (percentile latencies 99.0)
-    (if Array.length latencies = 0 then 0.0 else latencies.(0))
-    (if Array.length latencies = 0 then 0.0
-     else latencies.(Array.length latencies - 1))
-    mean
-    (counts "statuses" (count_by (fun r -> r.q_status) results))
-    (counts "engines" (count_by (fun r -> r.q_engine) results))
-    (counts "ladders" (count_by (fun r -> r.q_ladder) results))
-
-let write_json path stats =
-  let oc = open_out path in
-  output_string oc (json_string stats);
-  output_char oc '\n';
-  close_out oc
+  let open Json_parse in
+  let counts key =
+    Object (List.map (fun (k, v) -> (k, int v)) (count_by key results))
+  in
+  render
+    (Object
+       [ ("schema", String "droidracer-service-bench/1"); ("clients", int stats.lg_clients)
+       ; ("requests_per_client", int stats.lg_requests_per_client)
+       ; ("total_requests", int total); ("completed", int ncompleted)
+       ; ("failed", int (total - ncompleted - lost stats)); ("lost", int (lost stats))
+       ; ("resumed", int (List.length (List.filter (fun r -> r.q_resumed) results)))
+       ; ("overloaded_retries", int (sum (fun r -> r.q_overloaded)))
+       ; ("reconnects", int (sum (fun r -> r.q_reconnects)))
+       ; ("wall_seconds", fixed 6 stats.lg_wall)
+       ; ("traces_per_sec", fixed 3 (float_of_int ncompleted /. Float.max 1e-9 stats.lg_wall))
+       ; ( "latency_seconds"
+         , Object
+             (List.map (fun (k, v) -> (k, fixed 6 v))
+                [ ("p50", percentile latencies 50.0); ("p90", percentile latencies 90.0)
+                ; ("p99", percentile latencies 99.0)
+                ; ("min", if n = 0 then 0.0 else latencies.(0))
+                ; ("max", if n = 0 then 0.0 else latencies.(n - 1)); ("mean", mean) ]) )
+       ; ("statuses", counts (fun r -> r.q_status))
+       ; ("engines", counts (fun r -> r.q_engine))
+       ; ("ladders", counts (fun r -> r.q_ladder)) ])
 
 let human_summary stats =
-  let latencies =
-    stats.lg_results
-    |> List.filter (fun r -> r.q_status <> "lost")
-    |> List.map (fun r -> r.q_latency)
-    |> Array.of_list
-  in
-  Array.sort compare latencies;
+  let latencies = latencies stats in
   Printf.sprintf
     "%d clients x %d requests: %d completed, %d lost, %.1f traces/sec, p50 \
      %.3fs, p99 %.3fs (wall %.1fs)"

@@ -230,6 +230,8 @@ let mkdir_p dir =
   in
   go dir
 
+let health_schema = "droidracer-health/1"
+
 let run config =
   (* Satellite: a client vanishing mid-response must surface as EPIPE on
      the write, never as a fatal SIGPIPE — ignore it process-wide for
@@ -469,8 +471,8 @@ let run config =
     Float.min 60.0 (Float.max 0.05 (float_of_int (depth + 1) *. per))
   in
   let queue_extra () =
-    Printf.sprintf {|"queue_depth":%d,"queue_capacity":%d|}
-      (Queue.length queue) config.queue_capacity
+    Json_parse.
+      [ ("queue_depth", int (Queue.length queue)); ("queue_capacity", int config.queue_capacity) ]
   in
   let health_json () =
     let ready = (not !draining) && live_workers () > 0 in
@@ -486,22 +488,26 @@ let run config =
       else if fill >= config.degrade_low then "worklist"
       else "dense"
     in
-    let warnings =
-      "[" ^ String.concat "," (List.map Journal.warning_json journal_warnings)
-      ^ "]"
-    in
-    Printf.sprintf
-      {|{"schema":"%s","status":"%s","ready":%b,"workers":%d,"workers_live":%d,"worker_deaths":%d,"queue_depth":%d,"queue_capacity":%d,"max_queue_depth":%d,"inflight":%d,"accepted":%d,"completed":%d,"failed":%d,"executed":%d,"overloaded":%d,"errors":%d,"degraded":%d,"resumed_results":%d,"resumed_requeued":%d,"journal_warnings":%s,"avg_service_seconds":%.6f,"pressure":"%s","uptime_seconds":%.3f}|}
-      Wire.health_schema
-      (if !draining then "draining" else "ok")
-      ready (Array.length workers) (live_workers ()) stats.s_worker_deaths
-      (Queue.length queue) config.queue_capacity stats.s_max_queue_depth
-      inflight stats.s_accepted stats.s_completed stats.s_failed
-      (stats.s_completed + stats.s_failed)
-      stats.s_overloaded stats.s_errors stats.s_degraded
-      stats.s_resumed_results stats.s_resumed_requeued warnings
-      stats.s_avg_service pressure
-      (Unix.gettimeofday () -. started)
+    let open Json_parse in
+    render
+      (Object
+         ([ ("schema", String health_schema)
+          ; ("status", String (if !draining then "draining" else "ok")); ("ready", Bool ready)
+          ; ("workers", int (Array.length workers)); ("workers_live", int (live_workers ()))
+          ; ("worker_deaths", int stats.s_worker_deaths) ]
+          @ queue_extra ()
+          @ [ ("max_queue_depth", int stats.s_max_queue_depth); ("inflight", int inflight)
+            ; ("accepted", int stats.s_accepted); ("completed", int stats.s_completed)
+            ; ("failed", int stats.s_failed)
+            ; ("executed", int (stats.s_completed + stats.s_failed))
+            ; ("overloaded", int stats.s_overloaded); ("errors", int stats.s_errors)
+            ; ("degraded", int stats.s_degraded)
+            ; ("resumed_results", int stats.s_resumed_results)
+            ; ("resumed_requeued", int stats.s_resumed_requeued)
+            ; ("journal_warnings", list Journal.warning_to_json journal_warnings)
+            ; ("avg_service_seconds", fixed 6 stats.s_avg_service)
+            ; ("pressure", String pressure)
+            ; ("uptime_seconds", fixed 3 (Unix.gettimeofday () -. started)) ]))
   in
 
   (* {2 Completion} *)
@@ -718,18 +724,18 @@ let run config =
         let prev = Option.value (Hashtbl.find_opt waiters id) ~default:[] in
         Hashtbl.replace waiters id (conn :: prev)
       end
-      else send conn (Wire.status_response ~id ~extra:"" "accepted")
+      else send conn (Wire.status_response ~id "accepted")
     | None ->
       if !draining then begin
         stats.s_draining_rejects <- stats.s_draining_rejects + 1;
         send conn
-          (Wire.status_response ~id ~retry_after:1.0 ~extra:"" "draining")
+          (Wire.status_response ~id ~retry_after:1.0 "draining")
       end
       else if trace = "" then begin
         stats.s_errors <- stats.s_errors + 1;
         send conn
           (Wire.status_response ~id
-             ~reason:"unknown id and no trace payload" ~extra:"" "unknown")
+             ~reason:"unknown id and no trace payload" "unknown")
       end
       else if Queue.length queue >= config.queue_capacity then begin
         stats.s_overloaded <- stats.s_overloaded + 1;
@@ -766,14 +772,14 @@ let run config =
           let prev = Option.value (Hashtbl.find_opt waiters id) ~default:[] in
           Hashtbl.replace waiters id (conn :: prev)
         end
-        else send conn (Wire.status_response ~id ~extra:"" "accepted")
+        else send conn (Wire.status_response ~id "accepted")
       end
   in
 
   (* {2 Per-connection frame handling} *)
   let protocol_error conn msg =
     stats.s_errors <- stats.s_errors + 1;
-    send conn (Wire.status_response ~reason:msg ~extra:"" "error");
+    send conn (Wire.status_response ~reason:msg "error");
     conn.c_close_after <- true
   in
   let handle_frame conn frame =
@@ -796,8 +802,8 @@ let run config =
          (match Hashtbl.find_opt table id with
           | Some (Finished rs) -> send conn (Wire.result_response ~resumed:true rs)
           | Some (Queued _ | Running _) ->
-            send conn (Wire.status_response ~id ~extra:"" "pending")
-          | None -> send conn (Wire.status_response ~id ~extra:"" "unknown"))
+            send conn (Wire.status_response ~id "pending")
+          | None -> send conn (Wire.status_response ~id "unknown"))
        | Ok (Wire.Analyze a) ->
          if a.a_trace_bytes > config.max_trace_bytes then
            protocol_error conn

@@ -1,8 +1,7 @@
 open! Import
 
 let request_schema = "droidracer-request/1"
-let response_schema = "droidracer-races/1"
-let health_schema = "droidracer-health/1"
+let response_schema = "droidracer-race-response/1"
 
 let max_header_bytes = 64 * 1024
 let default_max_trace_bytes = 64 * 1024 * 1024
@@ -86,26 +85,8 @@ let valid_id id =
          | _ -> false)
        id
 
-(* {1 JSON helpers} *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_string_list l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l) ^ "]"
+(* [perfbench/] escapes its span names through this name. *)
+let json_escape = Json_parse.escape
 
 (* {1 Requests}
 
@@ -127,29 +108,53 @@ type request =
   | Health
   | Stats
 
-let request_json = function
+let request_json request =
+  let open Json_parse in
+  let g x = Literal (Printf.sprintf "%g" x) in
+  let op name fields =
+    render (Object (("schema", String request_schema) :: ("op", String name) :: fields))
+  in
+  match request with
   | Analyze a ->
-    let timeout =
-      match a.a_timeout with
-      | None -> "null"
-      | Some t -> Printf.sprintf "%g" t
-    in
-    Printf.sprintf
-      {|{"schema":"%s","op":"analyze","id":"%s","engine":"%s","timeout_seconds":%s,"sleep_seconds":%g,"trace_bytes":%d,"wait":%b}|}
-      request_schema (json_escape a.a_id) (json_escape a.a_engine) timeout
-      a.a_sleep a.a_trace_bytes a.a_wait
-  | Result id ->
-    Printf.sprintf {|{"schema":"%s","op":"result","id":"%s"}|} request_schema
-      (json_escape id)
-  | Health -> Printf.sprintf {|{"schema":"%s","op":"health"}|} request_schema
-  | Stats -> Printf.sprintf {|{"schema":"%s","op":"stats"}|} request_schema
+    op "analyze"
+      [ ("id", String a.a_id); ("engine", String a.a_engine)
+      ; ("timeout_seconds", option g a.a_timeout); ("sleep_seconds", g a.a_sleep)
+      ; ("trace_bytes", int a.a_trace_bytes); ("wait", Bool a.a_wait) ]
+  | Result id -> op "result" [ ("id", String id) ]
+  | Health -> op "health" []
+  | Stats -> op "stats" []
+
+(* Client-supplied numbers: a non-finite one would make a deadline
+   infinite, and a byte count must be a whole number that fits. *)
+let analyze_numbers json =
+  let finite key =
+    match Json_parse.member key json with
+    | Some (Json_parse.Number f) when not (Float.is_finite f) ->
+      Error (Printf.sprintf "%s is not a finite number" key)
+    | v -> Ok (Option.bind v Json_parse.to_number)
+  in
+  let ( let* ) = Result.bind in
+  let* timeout = finite "timeout_seconds" in
+  let* sleep = finite "sleep_seconds" in
+  let* trace_bytes =
+    match Json_parse.member "trace_bytes" json with
+    | None -> Ok 0
+    | Some v ->
+      (match Json_parse.to_int v with
+       | Some b when b >= 0 -> Ok b
+       | Some _ -> Error "negative trace_bytes"
+       | None -> Error "trace_bytes is not a whole number of bytes")
+  in
+  Ok
+    ( Option.bind timeout (fun t -> if t > 0.0 then Some t else None)
+    , Float.max 0.0 (Option.value sleep ~default:0.0)
+    , trace_bytes )
 
 let parse_request s =
   match Json_parse.parse s with
   | Error msg -> Error (Printf.sprintf "request is not JSON: %s" msg)
   | Ok json ->
     let str key = Option.bind (Json_parse.member key json) Json_parse.to_string in
-    let num key = Option.bind (Json_parse.member key json) Json_parse.to_number in
     (match str "schema" with
      | Some s when String.equal s request_schema -> (
        match str "op" with
@@ -172,35 +177,21 @@ let parse_request s =
            let engine = Option.value (str "engine") ~default:"auto" in
            if not (valid_engine engine) then
              Error (Printf.sprintf "unknown engine %S" engine)
-           else begin
-             let timeout =
-               match Json_parse.member "timeout_seconds" json with
-               | Some (Json_parse.Number t) when t > 0.0 -> Some t
-               | _ -> None
-             in
-             let sleep = Option.value (num "sleep_seconds") ~default:0.0 in
-             let trace_bytes =
-               match num "trace_bytes" with
-               | Some b -> int_of_float b
-               | None -> 0
-             in
-             let wait =
-               match Json_parse.member "wait" json with
-               | Some (Json_parse.Bool b) -> b
-               | _ -> true
-             in
-             if trace_bytes < 0 then Error "negative trace_bytes"
-             else
-               Ok
-                 (Analyze
+           else
+             Result.map
+               (fun (timeout, sleep, trace_bytes) ->
+                  Analyze
                     { a_id = id
                     ; a_engine = engine
                     ; a_timeout = timeout
-                    ; a_sleep = Float.max 0.0 sleep
+                    ; a_sleep = sleep
                     ; a_trace_bytes = trace_bytes
-                    ; a_wait = wait
+                    ; a_wait =
+                        (match Json_parse.member "wait" json with
+                         | Some (Json_parse.Bool b) -> b
+                         | _ -> true)
                     })
-           end)
+               (analyze_numbers json))
        | Some op -> Error (Printf.sprintf "unknown op %S" op)
        | None -> Error "request without an op")
      | Some s -> Error (Printf.sprintf "schema %S, expected %S" s request_schema)
@@ -261,39 +252,28 @@ let summary_of_outcome ~id ~requested ~ladder ~queue_seconds
     }
 
 let result_response ?(resumed = false) rs =
-  let reason =
-    if rs.rs_reason = "" then ""
-    else Printf.sprintf {|"reason":"%s",|} (json_escape rs.rs_reason)
-  in
-  Printf.sprintf
-    {|{"schema":"%s","id":"%s","status":"%s",%s"engine":"%s","engine_requested":"%s","ladder":"%s","events":%d,"races":%d,"distinct_races":%d,"locations":%s,"elapsed_seconds":%.6f,"queue_seconds":%.6f,"resumed":%b}|}
-    response_schema (json_escape rs.rs_id) (json_escape rs.rs_status) reason
-    (json_escape rs.rs_engine)
-    (json_escape rs.rs_requested)
-    (json_escape rs.rs_ladder)
-    rs.rs_events rs.rs_races rs.rs_distinct
-    (json_string_list rs.rs_locations)
-    rs.rs_elapsed rs.rs_queue_seconds resumed
+  let open Json_parse in
+  render
+    (Object
+       ([ ("schema", String response_schema); ("id", String rs.rs_id)
+        ; ("status", String rs.rs_status) ]
+        @ (if rs.rs_reason = "" then [] else [ ("reason", String rs.rs_reason) ])
+        @ [ ("engine", String rs.rs_engine); ("engine_requested", String rs.rs_requested)
+          ; ("ladder", String rs.rs_ladder); ("events", int rs.rs_events)
+          ; ("races", int rs.rs_races); ("distinct_races", int rs.rs_distinct)
+          ; ("locations", strings rs.rs_locations)
+          ; ("elapsed_seconds", fixed 6 rs.rs_elapsed)
+          ; ("queue_seconds", fixed 6 rs.rs_queue_seconds); ("resumed", Bool resumed) ]))
 
-let status_response ?id ?reason ?retry_after ~extra status =
-  let id =
-    match id with
-    | None -> ""
-    | Some id -> Printf.sprintf {|"id":"%s",|} (json_escape id)
-  in
-  let reason =
-    match reason with
-    | None -> ""
-    | Some r -> Printf.sprintf {|"reason":"%s",|} (json_escape r)
-  in
-  let retry =
-    match retry_after with
-    | None -> ""
-    | Some t -> Printf.sprintf {|"retry_after_seconds":%.3f,|} t
-  in
-  let extra = if extra = "" then "" else extra ^ "," in
-  Printf.sprintf {|{"schema":"%s",%s%s%s%s"status":"%s"}|} response_schema id
-    reason retry extra (json_escape status)
+let status_response ?id ?reason ?retry_after ?(extra = []) status =
+  let open Json_parse in
+  let some key f = function None -> [] | Some v -> [ (key, f v) ] in
+  render
+    (Object
+       ((("schema", String response_schema) :: some "id" (fun i -> String i) id)
+        @ some "reason" (fun r -> String r) reason
+        @ some "retry_after_seconds" (fixed 3) retry_after
+        @ extra @ [ ("status", String status) ]))
 
 (* {1 Response accessors (client side)} *)
 
@@ -310,29 +290,6 @@ let response_num key json =
 
 let response_status json =
   Option.value (response_str "status" json) ~default:"error"
-
-(* Re-serialize a parsed response — the CLI prints responses it got
-   back as [Json_parse.t] values.  Numbers that are integral print
-   without a fractional part so ids and counts round-trip cleanly. *)
-let rec response_json_string (json : Json_parse.t) =
-  match json with
-  | Json_parse.Null -> "null"
-  | Json_parse.Bool b -> if b then "true" else "false"
-  | Json_parse.Number f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  | Json_parse.String s -> "\"" ^ json_escape s ^ "\""
-  | Json_parse.Array l ->
-    "[" ^ String.concat "," (List.map response_json_string l) ^ "]"
-  | Json_parse.Object fields ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) ->
-              "\"" ^ json_escape k ^ "\":" ^ response_json_string v)
-           fields)
-    ^ "}"
 
 (* {1 Incremental frame decoding}
 

@@ -88,7 +88,7 @@ let test_torn_final_line () =
     (Astring_contains.contains
        (Journal.warning_message (Journal.Torn_lines 1))
        "torn");
-  (match Json_parse.parse (Journal.warning_json (Journal.Torn_lines 1)) with
+  (match Json_parse.parse (Json_parse.render (Journal.warning_to_json (Journal.Torn_lines 1))) with
    | Ok json ->
      check_bool "warning JSON kind" true
        (Option.bind (Json_parse.member "kind" json) Json_parse.to_string
@@ -127,6 +127,32 @@ let test_missing_file_resumes_fresh () =
   let j = or_fail (Journal.create ~resume:true path) in
   check_int "nothing to replay" 0 (List.length (Journal.prior j));
   Journal.close j
+
+(* A record line exactly as the previous, hand-rolled writer produced
+   it: escaped quotes, backslash, control bytes, raw UTF-8 and DEL.
+   Journals already on disk must keep loading, and the writer must
+   still produce these bytes. *)
+let legacy_record_line =
+  {|{"digest":"c3f4ccdd63ff596678f988925ad39c09","app":"Aard \"Dict\"\\ \t\r\n\u0001\u001f caf|}
+  ^ "\xc3\xa9 \x7f"
+  ^ {|","payload":"AP8gcGF5bG9hZCAieCI="}|}
+
+let legacy_entry = ("Aard \"Dict\"\\ \t\r\n\x01\x1f caf\xc3\xa9 \x7f", "\x00\xff payload \"x\"")
+
+let test_legacy_line_resumes () =
+  let path = temp_path () in
+  Journal.close (or_fail (Journal.create path));
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+    Out_channel.output_string oc (legacy_record_line ^ "\n"));
+  let j = or_fail (Journal.create ~resume:true path) in
+  Journal.close j;
+  check_int "no torn lines" 0 (Journal.torn_lines j);
+  check_bool "legacy record replayed" true (Journal.prior j = [ legacy_entry ]);
+  (* resuming rewrote the record with the current writer *)
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all |> String.split_on_char '\n'
+  in
+  check_bool "rewritten byte for byte" true (List.nth lines 1 = legacy_record_line)
 
 (* {1 Resume = uninterrupted (qcheck)} *)
 
@@ -195,6 +221,8 @@ let () =
             test_rejects_non_journal
         ; Alcotest.test_case "missing file resumes fresh" `Quick
             test_missing_file_resumes_fresh
+        ; Alcotest.test_case "legacy record line resumes" `Quick
+            test_legacy_line_resumes
         ] )
     ; ( "resume"
       , [ QCheck_alcotest.to_alcotest qcheck_resume ] )

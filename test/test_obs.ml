@@ -204,6 +204,82 @@ let test_metrics_json_parses_back () =
   check_bool "summary names the analyze span" true
     (contains_substring ~needle:"detector.analyze" (Obs.summary_string ()))
 
+(* {1 The JSON codec}
+
+   One printer and one parser serve every artifact, so the round trip
+   is checked over arbitrary values rather than per schema: strings
+   carry quotes, backslashes, control bytes and bytes >= 0x80. *)
+
+let gen_json =
+  let open QCheck2.Gen in
+  let text =
+    string_size (int_bound 8)
+      ~gen:
+        (oneof
+           [ char_range '\x00' '\x1f'; oneofl [ '"'; '\\'; '/' ]; printable
+           ; char_range '\x80' '\xff' ])
+  in
+  let number =
+    oneof
+      [ map float_of_int (int_range (-1_000_000) 1_000_000)
+      ; map (fun f -> if Float.is_finite f then f else 0.25) float ]
+  in
+  sized
+  @@ fix (fun self n ->
+    let leaf =
+      oneof
+        [ pure Json_parse.Null
+        ; map (fun b -> Json_parse.Bool b) bool
+        ; map (fun f -> Json_parse.Number f) number
+        ; map (fun s -> Json_parse.String s) text ]
+    in
+    if n <= 0 then leaf
+    else
+      frequency
+        [ (2, leaf)
+        ; (1, map (fun l -> Json_parse.Array l) (list_size (int_bound 4) (self (n / 3))))
+        ; ( 1
+          , map (fun l -> Json_parse.Object l)
+              (list_size (int_bound 4) (pair text (self (n / 3)))) ) ])
+
+let prop_roundtrip layout name =
+  QCheck2.Test.make ~name ~count:500 ~print:Json_parse.render gen_json (fun v ->
+    Json_parse.parse (Json_parse.render ~layout v) = Ok v)
+
+let test_codec_unicode () =
+  let str s =
+    match Json_parse.parse s with
+    | Ok (Json_parse.String v) -> v
+    | Ok _ | Error _ -> Alcotest.failf "%s is not a JSON string" s
+  in
+  check_string "BMP escape decodes to UTF-8" "caf\xc3\xa9" (str {|"caf\u00e9"|});
+  check_string "surrogate pair" "\xf0\x9f\x98\x80" (str {|"\ud83d\ude00"|});
+  check_string "lone high surrogate" "?x" (str {|"\ud83dx"|});
+  check_string "high surrogate, then no low one" "?A" (str {|"\ud83d\u0041"|});
+  check_string "lone low surrogate" "?" (str {|"\ude00"|});
+  check_bool "bad hex rejected" true (Result.is_error (Json_parse.parse {|"\u00g1"|}))
+
+let test_codec_printer () =
+  check_string "escape" {|\"\\\n\r\t\u0001\u001f caf|} (Json_parse.escape "\"\\\n\r\t\x01\x1f caf");
+  let doc =
+    Json_parse.(
+      Object
+        [ ("a", int 1); ("b", fixed 3 0.5); ("c", Array [ Object [ ("d", Array [ Null ]) ] ])
+        ; ("e", Array []) ])
+  in
+  check_string "compact" {|{"a":1,"b":0.500,"c":[{"d":[null]}],"e":[]}|} (Json_parse.render doc);
+  check_string "indented"
+    "{\n  \"a\": 1,\n  \"b\": 0.500,\n  \"c\": [\n    {\"d\": [null]}\n  ],\n  \"e\": []\n}"
+    (Json_parse.render ~layout:Indented doc);
+  check_string "numbers" "[3,-0,0.1,1e+300,null]"
+    (Json_parse.render
+       (Array (List.map (fun f -> Json_parse.Number f) [ 3.0; -0.0; 0.1; 1e300; infinity ])));
+  let int_of s = Result.to_option (Json_parse.parse s) |> Fun.flip Option.bind Json_parse.to_int in
+  check_bool "whole number" true (int_of "42" = Some 42);
+  check_bool "fraction refused" true (int_of "1.5" = None);
+  check_bool "out of range refused" true (int_of "1e19" = None);
+  check_bool "infinity refused" true (int_of "1e999" = None)
+
 (* {1 Histogram quantiles}
 
    The log-bucketed sketch (8 buckets per octave) guarantees ~9%
@@ -468,6 +544,13 @@ let () =
             test_metrics_json_parses_back
         ; Alcotest.test_case "metrics schema v2" `Quick test_metrics_schema_v2
         ; Alcotest.test_case "series export" `Quick test_series_export
+        ] )
+    ; ( "codec"
+      , [ QCheck_alcotest.to_alcotest (prop_roundtrip Compact "compact round trip")
+        ; QCheck_alcotest.to_alcotest
+            (prop_roundtrip Indented "indented round trip")
+        ; Alcotest.test_case "unicode escapes" `Quick test_codec_unicode
+        ; Alcotest.test_case "printer" `Quick test_codec_printer
         ] )
     ; ( "transport"
       , [ Alcotest.test_case "state round-trip" `Quick test_state_roundtrip

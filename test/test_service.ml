@@ -223,7 +223,21 @@ let test_request_roundtrip () =
   check_bool "bad id rejected" true
     (Result.is_error
        (Swire.parse_request
-          {|{"schema":"droidracer-request/1","op":"analyze","id":"../etc"}|}))
+          {|{"schema":"droidracer-request/1","op":"analyze","id":"../etc"}|}));
+  (* out-of-range numbers: an infinite sleep or timeout would make the
+     worker's hard deadline infinite; a byte count must be whole *)
+  List.iter
+    (fun field ->
+       check_bool (field ^ " rejected") true
+         (Result.is_error
+            (Swire.parse_request
+               ({|{"schema":"droidracer-request/1","op":"analyze","id":"a",|}
+                ^ field ^ "}"))))
+    [ {|"sleep_seconds":1e999|}
+    ; {|"timeout_seconds":1e999|}
+    ; {|"trace_bytes":1.5|}
+    ; {|"trace_bytes":1e19|}
+    ]
 
 let test_decoder_incremental () =
   let frame payload =
@@ -272,9 +286,9 @@ let test_response_json_roundtrip () =
     }
   in
   let json = ok (Swire.parse_response (Swire.result_response rs)) in
-  (* the CLI re-serializes responses with [response_json_string]; the
+  (* the CLI re-serializes responses with [Json_parse.render]; the
      round-trip must preserve every field *)
-  let json' = ok (Swire.parse_response (Swire.response_json_string json)) in
+  let json' = ok (Swire.parse_response (Json_parse.render json)) in
   check_string "id survives" "weird \"id\"" (str "id" json');
   check_bool "races survive" true (num "races" json' = 2.0);
   check_bool "resumed survives" true (not (bool_field "resumed" json'))

@@ -77,6 +77,20 @@ let test_epoch_prune () =
 
 (* {1 The figures} *)
 
+(* The stats document is JSON for any label, including a trace path
+   with non-ASCII and control bytes. *)
+let test_stats_json_label () =
+  let label = "caf\xc3\xa9\t.trace" in
+  let _, stats = Streaming.detect figure4 in
+  match
+    Json_parse.parse
+      (Streaming.stats_json_string ~label ~elapsed_seconds:0.5 ~peak_rss_kb:1 stats)
+  with
+  | Ok json ->
+    check_bool "label read back" true
+      (Option.bind (Json_parse.member "label" json) Json_parse.to_string = Some label)
+  | Error msg -> Alcotest.failf "stats document is not JSON: %s" msg
+
 let test_figures () =
   let races3, _ = Streaming.detect figure3 in
   check_int "figure 3: no races" 0 (List.length races3);
@@ -398,6 +412,8 @@ let () =
             test_gc_invisible_to_races
         ; Alcotest.test_case "window folding sound" `Quick
             test_window_folding_is_sound
+        ; Alcotest.test_case "stats JSON for any label" `Quick
+            test_stats_json_label
         ] )
     ; ( "long-trace"
       , [ Alcotest.test_case "generator prefixes admissible" `Quick
