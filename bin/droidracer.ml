@@ -464,10 +464,12 @@ let analyze_cmd =
       Printf.printf "%d events, %d race(s) [streaming engine]\n"
         stats.Streaming_engine.events (List.length races);
       Printf.printf
-        "peak live slots %d, peak clock entries %d (%d slots retired)\n"
+        "peak live slots %d, peak clock entries %d (%d slots retired, %d \
+         tasks chained)\n"
         stats.Streaming_engine.peak_live_slots
         stats.Streaming_engine.peak_clock_entries
-        stats.Streaming_engine.slots_retired;
+        stats.Streaming_engine.slots_retired
+        stats.Streaming_engine.chained_tasks;
       if show_all then
         List.iter (fun r -> Format.printf "%a@." Race.pp r) races;
       write_report "streaming stats" streaming_json (fun () ->

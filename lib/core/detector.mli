@@ -78,7 +78,9 @@ val analyze : ?config:config -> ?jobs:int -> Trace.t -> report
     pipeline is replaced by one {!Streaming_engine} pass (phases
     {!streaming_phase_names}; single-pass, so [jobs] is irrelevant and
     the report is identical for every value): [nodes] counts clock
-    slots, the matrix statistics are 0, races are a subset of the batch
+    slots — one per chain of tasks ordered one after another on a
+    thread, plus one per thread segment outside any task — the matrix
+    statistics are 0, races are a subset of the batch
     engines' (see {!Streaming_engine}), and co-enabled classification
     degrades to the later categories.  Callers with traces too large to
     materialise should stream via {!Streaming_engine.detect_file}

@@ -63,8 +63,9 @@ let observe ~clock ~slot ~time payload t =
   match t with
   | Bottom -> (One e, [], Stayed)
   | One prev when prev.slot = slot ->
-    (* Same slot = same thread segment or task instance, hence program
-       ordered: overwrite without touching the clock. *)
+    (* Same slot = same thread segment, or the same task or a later
+       one of its chain, hence ordered: overwrite without touching the
+       clock. *)
     (One e, [], Fast_path)
   | One prev ->
     if known clock prev then (One e, [], Stayed)

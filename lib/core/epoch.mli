@@ -10,8 +10,9 @@
 
     - {!Bottom}: no access recorded yet;
     - {!One}: a single epoch — the common case, updated in O(1) when
-      the next access comes from the same slot (the same thread segment
-      or task instance, hence program-ordered);
+      the next access comes from the same slot (the same thread
+      segment, or the same task or a later one of its chain, hence
+      ordered);
     - {!Many}: a read-share — a set of pairwise-unordered epochs keyed
       by slot, the vector-clock fallback.
 

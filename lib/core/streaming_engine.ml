@@ -4,6 +4,9 @@ module Task_id = Ident.Task_id
 module Lock_id = Ident.Lock_id
 module Location = Ident.Location
 module Vc = Vector_clock
+module Task_tbl = Hashtbl.Make (Task_id)
+module Lock_tbl = Hashtbl.Make (Lock_id)
+module Location_tbl = Hashtbl.Make (Location)
 
 type config =
   { completed_window : int
@@ -25,6 +28,7 @@ type stats =
   ; demotions : int
   ; comparisons : int
   ; folded_tasks : int
+  ; chained_tasks : int
   ; gc_sweeps : int
   ; races : int
   }
@@ -44,18 +48,26 @@ type pending_post =
   }
 
 (* A completed task, remembered (up to the window) for the FIFO and
-   NOPRE checks at later [begin]s on the same thread. *)
+   NOPRE checks at later [begin]s on the same thread.  Several records
+   may share [c_slot] when tasks continued their thread's chain; their
+   time ranges on it are disjoint and increasing. *)
 type completed =
   { c_slot : int
+  ; c_begin_time : int
+        (** the slot's time at the task's [begin]: a clock holding at
+            least this much of [c_slot] knows the task has begun
+            (NOPRE) — [>= 1] would also accept an earlier task of the
+            same chain *)
   ; c_post_slot : int
   ; c_post_time : int
   ; c_end_clock : Vc.t
   ; c_end_time : int
-        (** [Vc.get c_end_clock c_slot] — the slot's final local time.
-            Every event ticks the executing slot and the slot is retired
-            at [end], so this time is {e unique} to [c_end_clock] among
-            all clocks ever exported from the segment: a clock holding
-            the slot at [c_end_time] necessarily descends from
+        (** [Vc.get c_end_clock c_slot] — the task's final local time.
+            Every event ticks the executing slot, and only a later task
+            whose begin clock already dominates [c_end_clock] may tick
+            the slot again, so this time is {e unique} to [c_end_clock]
+            among all clocks ever exported: a clock holding the slot at
+            [c_end_time] or later necessarily descends from
             [c_end_clock] and so already dominates it.  That turns the
             per-record merge decision at [begin] into an O(log) epoch
             probe. *)
@@ -68,6 +80,13 @@ type thread_ctx =
   ; mutable in_task : Task_id.t option
   ; mutable current_post : pending_post option
   ; mutable loop_clock : Vc.t option
+  ; mutable begin_time : int  (** the running task's [c_begin_time] *)
+  ; mutable chain : int
+        (** the slot of the last task run on this thread, -1 before the
+            first [end] *)
+  ; mutable chain_time : int
+        (** [chain]'s time at that task's [end]: the slot's latest
+            time, produced by that event alone *)
   ; mutable completed : completed list  (** newest first, ≤ window *)
   ; mutable completed_len : int
   ; mutable folded_ends : Vc.t
@@ -85,18 +104,14 @@ type loc_state =
 type t =
   { cfg : config
   ; mutable next_slot : int
-  ; interner : Ident.Interner.t
-        (* the shared ident table (lib/trace): task, lock and location
-           keys below are interned small ints, not strings, so lookups
-           in the per-event hot path hash an int instead of a string *)
   ; threads : (int, thread_ctx) Hashtbl.t
   ; fork_clocks : (int, Vc.t) Hashtbl.t
   ; exit_clocks : (int, Vc.t) Hashtbl.t
   ; attach_clocks : (int, Vc.t) Hashtbl.t
-  ; lock_clocks : (int, Vc.t) Hashtbl.t
-  ; enable_clocks : (int, Vc.t) Hashtbl.t
-  ; posts : (int, pending_post) Hashtbl.t
-  ; locations : (int, loc_state) Hashtbl.t
+  ; lock_clocks : Vc.t Lock_tbl.t
+  ; enable_clocks : Vc.t Task_tbl.t
+  ; posts : pending_post Task_tbl.t
+  ; locations : loc_state Location_tbl.t
   ; mutable races : Race.t list
   ; mutable events : int
   ; mutable fast_path : int
@@ -104,6 +119,7 @@ type t =
   ; mutable demotions : int
   ; mutable comparisons : int
   ; mutable folded_tasks : int
+  ; mutable chained_tasks : int
   ; mutable gc_sweeps : int
   ; mutable live_slots : int
   ; mutable peak_live_slots : int
@@ -114,15 +130,14 @@ type t =
 let create ?(config = default_config) () =
   { cfg = config
   ; next_slot = 0
-  ; interner = Ident.Interner.create ()
   ; threads = Hashtbl.create 16
   ; fork_clocks = Hashtbl.create 8
   ; exit_clocks = Hashtbl.create 8
   ; attach_clocks = Hashtbl.create 8
-  ; lock_clocks = Hashtbl.create 8
-  ; enable_clocks = Hashtbl.create 16
-  ; posts = Hashtbl.create 64
-  ; locations = Hashtbl.create 64
+  ; lock_clocks = Lock_tbl.create 8
+  ; enable_clocks = Task_tbl.create 16
+  ; posts = Task_tbl.create 64
+  ; locations = Location_tbl.create 64
   ; races = []
   ; events = 0
   ; fast_path = 0
@@ -130,6 +145,7 @@ let create ?(config = default_config) () =
   ; demotions = 0
   ; comparisons = 0
   ; folded_tasks = 0
+  ; chained_tasks = 0
   ; gc_sweeps = 0
   ; live_slots = 0
   ; peak_live_slots = 0
@@ -152,6 +168,9 @@ let ctx t tid =
       ; in_task = None
       ; current_post = None
       ; loop_clock = None
+      ; begin_time = 0
+      ; chain = -1
+      ; chain_time = 0
       ; completed = []
       ; completed_len = 0
       ; folded_ends = Vc.empty
@@ -165,7 +184,8 @@ let ctx t tid =
    A slot can appear as the {e subject} of a future [Vc.get] only while
    something still holds it as a comparison key: a frontier entry, a
    completed-window record (its own slot for NOPRE, its post epoch for
-   FIFO), a pending post's epoch, or a live context's current slot.
+   FIFO), a pending post's epoch, or a live context's current slot or
+   chain (probed by the chain rule at the next [begin]).
    Once none do, the slot is retired: its entries in resident clocks
    are pure payload that no comparison will ever read, so dropping them
    cannot change any future answer — the sweep is invisible to the
@@ -186,14 +206,15 @@ let live_slots t =
   Hashtbl.iter
     (fun _ c ->
        add c.slot;
+       if c.chain >= 0 then add c.chain;
        List.iter
          (fun comp ->
             add comp.c_slot;
             add comp.c_post_slot)
          c.completed)
     t.threads;
-  Hashtbl.iter (fun _ (p : pending_post) -> add p.p_slot) t.posts;
-  Hashtbl.iter
+  Task_tbl.iter (fun _ (p : pending_post) -> add p.p_slot) t.posts;
+  Location_tbl.iter
     (fun _ l ->
        Epoch.fold (fun e () -> add e.Epoch.slot) l.writes ();
        Epoch.fold (fun e () -> add e.Epoch.slot) l.reads ())
@@ -223,9 +244,9 @@ let sweep t =
   purge_tbl t.fork_clocks;
   purge_tbl t.exit_clocks;
   purge_tbl t.attach_clocks;
-  purge_tbl t.lock_clocks;
-  purge_tbl t.enable_clocks;
-  Hashtbl.filter_map_inplace
+  Lock_tbl.filter_map_inplace (fun _ vc -> Some (purge vc)) t.lock_clocks;
+  Task_tbl.filter_map_inplace (fun _ vc -> Some (purge vc)) t.enable_clocks;
+  Task_tbl.filter_map_inplace
     (fun _ (p : pending_post) -> Some { p with p_clock = purge p.p_clock })
     t.posts;
   t.gc_sweeps <- t.gc_sweeps + 1;
@@ -249,12 +270,11 @@ let sweep t =
   end
 
 let loc_state t location =
-  let key = Ident.Interner.intern t.interner (Location.to_string location) in
-  match Hashtbl.find_opt t.locations key with
+  match Location_tbl.find_opt t.locations location with
   | Some l -> l
   | None ->
     let l = { writes = Epoch.bottom; reads = Epoch.bottom } in
-    Hashtbl.add t.locations key l;
+    Location_tbl.add t.locations location l;
     l
 
 let count_outcome t = function
@@ -335,13 +355,12 @@ let feed t ~position (e : Trace.event) =
      Hashtbl.replace t.attach_clocks (Thread_id.to_int e.thread) c.clock
    | Operation.Loop_on_queue -> c.loop_clock <- Some c.clock
    | Operation.Post { task; target; flavour } ->
-     let key = Ident.Interner.intern t.interner (Task_id.to_string task) in
      (* ENABLE-*: the post happens after the task's enable (one post
         per task: the enable clock is consumed). *)
-     (match Hashtbl.find_opt t.enable_clocks key with
+     (match Task_tbl.find_opt t.enable_clocks task with
       | Some vc ->
         c.clock <- Vc.merge c.clock vc;
-        Hashtbl.remove t.enable_clocks key
+        Task_tbl.remove t.enable_clocks task
       | None -> ());
      (* ATTACH-Q-MT: a cross-thread post happens after the target's
         attachQ. *)
@@ -349,30 +368,28 @@ let feed t ~position (e : Trace.event) =
        (match Hashtbl.find_opt t.attach_clocks (Thread_id.to_int target) with
         | Some vc -> c.clock <- Vc.merge c.clock vc
         | None -> ());
-     Hashtbl.replace t.posts key
+     Task_tbl.replace t.posts task
        { p_clock = c.clock
        ; p_slot = c.slot
        ; p_time = Vc.get c.clock c.slot
        ; p_flavour = flavour
        }
    | Operation.Begin_task p ->
-     let slot = fresh_slot t in
      let base =
        match c.loop_clock with
        | Some vc -> vc
        | None -> Vc.empty
      in
-     let key = Ident.Interner.intern t.interner (Task_id.to_string p) in
      (* The join runs base ⊔ post, then the qualifying window ends
         newest first, then [folded_ends]: the newest end usually
         dominates everything older, so most merges return an argument
         unchanged.  Which ends qualify depends only on the post clock,
         so the order does not change the join. *)
      let clock =
-       match Hashtbl.find_opt t.posts key with
+       match Task_tbl.find_opt t.posts p with
        | Some post ->
          (* Unique renaming: one begin per task, the post is consumed. *)
-         Hashtbl.remove t.posts key;
+         Task_tbl.remove t.posts p;
          let clock = ref (Vc.merge base post.p_clock) in
          (* FIFO and NOPRE against the windowed completed tasks of this
             thread; evicted ones were folded into [folded_ends]. *)
@@ -387,7 +404,9 @@ let feed t ~position (e : Trace.event) =
                   Clock_engine.fifo_flavours_ok comp.c_flavour post.p_flavour
                   && Vc.get post.p_clock comp.c_post_slot >= comp.c_post_time
                 in
-                let nopre () = Vc.get post.p_clock comp.c_slot >= 1 in
+                let nopre () =
+                  Vc.get post.p_clock comp.c_slot >= comp.c_begin_time
+                in
                 if fifo || nopre () then
                   clock := Vc.merge !clock comp.c_end_clock
               end)
@@ -398,18 +417,37 @@ let feed t ~position (e : Trace.event) =
          c.current_post <- None;
          base
      in
+     let clock = Vc.merge clock c.folded_ends in
+     (* The chain rule: time [chain_time] on [chain] is produced only by
+        the previous task's [end], so a begin clock that holds it
+        already dominates that task's end clock.  The new task then
+        continues the slot instead of taking a fresh one: its times on
+        it follow the previous task's, every later [Vc.get v s >= t]
+        probe answers as it would with a fresh slot, and on a looper
+        whose tasks FIFO or NOPRE order one after another the clocks
+        carry one entry per chain instead of one per task. *)
+     let slot =
+       if c.chain >= 0 && Vc.get clock c.chain >= c.chain_time then begin
+         t.chained_tasks <- t.chained_tasks + 1;
+         c.chain
+       end
+       else fresh_slot t
+     in
      c.slot <- slot;
-     c.clock <- Vc.tick (Vc.merge clock c.folded_ends) slot;
+     c.clock <- Vc.tick clock slot;
+     c.begin_time <- Vc.get c.clock slot;
      c.in_task <- Some p
    | Operation.End_task _ ->
+     let end_time = Vc.get c.clock c.slot in
      (match c.current_post with
       | Some post ->
         let comp =
           { c_slot = c.slot
+          ; c_begin_time = c.begin_time
           ; c_post_slot = post.p_slot
           ; c_post_time = post.p_time
           ; c_end_clock = c.clock
-          ; c_end_time = Vc.get c.clock c.slot
+          ; c_end_time = end_time
           ; c_flavour = post.p_flavour
           }
         in
@@ -436,6 +474,11 @@ let feed t ~position (e : Trace.event) =
            | None -> ())
         end
       | None -> ());
+     (* Every task moves the chain, with or without a record: a task
+        that continued the chain has ticked it past the old
+        [chain_time], which must not be reused. *)
+     c.chain <- c.slot;
+     c.chain_time <- end_time;
      c.current_post <- None;
      c.in_task <- None;
      (* The idle looper segment: only the pre-loop knowledge of the
@@ -447,24 +490,17 @@ let feed t ~position (e : Trace.event) =
         | Some vc -> vc
         | None -> Vc.empty)
    | Operation.Acquire l ->
-     (match
-        Hashtbl.find_opt t.lock_clocks
-          (Ident.Interner.intern t.interner (Lock_id.to_string l))
-      with
+     (match Lock_tbl.find_opt t.lock_clocks l with
       | Some vc -> c.clock <- Vc.merge c.clock vc
       | None -> ())
    | Operation.Release l ->
-     let key = Ident.Interner.intern t.interner (Lock_id.to_string l) in
      let merged =
-       match Hashtbl.find_opt t.lock_clocks key with
+       match Lock_tbl.find_opt t.lock_clocks l with
        | Some vc -> Vc.merge vc c.clock
        | None -> c.clock
      in
-     Hashtbl.replace t.lock_clocks key merged
-   | Operation.Enable p ->
-     Hashtbl.replace t.enable_clocks
-       (Ident.Interner.intern t.interner (Task_id.to_string p))
-       c.clock
+     Lock_tbl.replace t.lock_clocks l merged
+   | Operation.Enable p -> Task_tbl.replace t.enable_clocks p c.clock
    | Operation.Cancel _ -> ()
    | Operation.Read m -> record_access t c position m false e.thread
    | Operation.Write m -> record_access t c position m true e.thread);
@@ -494,6 +530,7 @@ let stats t =
   ; demotions = t.demotions
   ; comparisons = t.comparisons
   ; folded_tasks = t.folded_tasks
+  ; chained_tasks = t.chained_tasks
   ; gc_sweeps = t.gc_sweeps
   ; races = List.length t.races
   }
@@ -507,6 +544,7 @@ let finish t =
     Obs.add ~n:stats.promotions "streaming.epoch_promotions";
     Obs.add ~n:stats.demotions "streaming.epoch_demotions";
     Obs.add ~n:stats.folded_tasks "streaming.folded_tasks";
+    Obs.add ~n:stats.chained_tasks "streaming.chained_tasks";
     Obs.set_gauge "streaming.peak_live_slots"
       (float_of_int stats.peak_live_slots);
     Obs.set_gauge "streaming.peak_clock_entries"
@@ -555,5 +593,6 @@ let stats_json_string ?(label = "streaming") ~elapsed_seconds ~peak_rss_kb
        ; ("peak_clock_entries", int s.peak_clock_entries)
        ; ("epoch_fast_path", int s.fast_path); ("promotions", int s.promotions)
        ; ("demotions", int s.demotions); ("folded_tasks", int s.folded_tasks)
-       ; ("gc_sweeps", int s.gc_sweeps); ("peak_rss_kb", int peak_rss_kb) ])
+       ; ("chained_tasks", int s.chained_tasks); ("gc_sweeps", int s.gc_sweeps)
+       ; ("peak_rss_kb", int peak_rss_kb) ])
   ^ "\n"

@@ -5,12 +5,19 @@ open! Import
     A single forward pass that consumes events as they arrive — from an
     in-memory trace, a channel, or a file via {!Trace_io.fold_channel}
     — and never materialises the trace.  The transition system is
-    {!Clock_engine}'s (task-indexed sparse vector clocks; fork/join,
-    post→begin, enable→post, attachQ→post, loopOnQ→begin, FIFO, NOPRE
-    and unconditional lock merges), with three changes that bound
-    resident memory by the number of {e live} entities instead of the
-    event count:
+    {!Clock_engine}'s (sparse vector clocks; fork/join, post→begin,
+    enable→post, attachQ→post, loopOnQ→begin, FIFO, NOPRE and
+    unconditional lock merges), with four changes that bound resident
+    memory by the number of {e live} entities instead of the event
+    count:
 
+    - clocks are {e chain}-indexed, not task-indexed: a task whose
+      begin clock already holds the end of its thread's previous task
+      continues that task's slot (the chains of totally ordered event
+      actions of EventRacer, built on the fly), so a looper whose
+      tasks FIFO or NOPRE order one after another costs one slot, not
+      one per task.  Slot times stay unique to one event, so every
+      epoch probe answers as it would with a slot per task;
     - per-location access history is an adaptive {!Epoch} frontier
       (last-write / last-read epochs, vector fallback on read shares)
       instead of the full access list;
@@ -27,7 +34,8 @@ open! Import
     Every mechanism above moves in one direction only: folding and the
     unconditional lock merge {e add} orderings (losing races), frontier
     and slot GC drop only state that provably cannot change a future
-    answer.  Hence (property-tested, jobs ∈ {1, 4}):
+    answer, and chains change no answer at all.  Hence
+    (property-tested, jobs ∈ {1, 4}):
 
     - {e soundness of reports}: every race this engine reports is also
       reported by the worklist (and dense) batch engine;
@@ -55,7 +63,10 @@ val default_config : config
 
 type stats =
   { events : int
-  ; slots_allocated : int  (** clock slots handed out over the run *)
+  ; slots_allocated : int
+        (** clock slots handed out over the run: one per chain started
+            (a task that could not continue its thread's chain) and one
+            per thread segment outside any task *)
   ; live_slots : int  (** slots still referenced at the end *)
   ; peak_live_slots : int  (** max live slots seen at any sweep *)
   ; slots_retired : int  (** allocated minus live *)
@@ -68,6 +79,9 @@ type stats =
   ; demotions : int  (** vector → epoch *)
   ; comparisons : int  (** frontier entries examined by access checks *)
   ; folded_tasks : int  (** completed records evicted into the fold *)
+  ; chained_tasks : int
+        (** [begin]s that continued their thread's chain slot instead of
+            taking a fresh one *)
   ; gc_sweeps : int
   ; races : int
   }

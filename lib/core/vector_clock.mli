@@ -1,8 +1,10 @@
 (** Sparse vector clocks.
 
-    Slots are dense non-negative integers: the engines give one to
-    each asynchronous-task instance and one to each thread segment
-    outside any task.  Missing entries read as 0.
+    Slots are dense non-negative integers: {!Clock_engine} gives one to
+    each asynchronous-task instance, {!Streaming_engine} one to each
+    chain of tasks ordered one after another on a thread, and both one
+    to each thread segment outside any task.  Missing entries read as
+    0.
 
     A clock is an immutable sorted flat [int array] of (slot, time)
     pairs plus one {e owner} pair kept outside it: the slot ticked

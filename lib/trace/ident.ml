@@ -34,6 +34,7 @@ module Lock_id = struct
 
   let name t = t
   let equal = String.equal
+  let hash = Hashtbl.hash
   let compare = String.compare
   let pp ppf t = Format.pp_print_string ppf t
   let to_string t = t
@@ -55,6 +56,7 @@ module Task_id = struct
   let name t = t.name
   let instance t = t.instance
   let equal a b = Int.equal a.instance b.instance && String.equal a.name b.name
+  let hash = Hashtbl.hash
 
   let compare a b =
     match String.compare a.name b.name with
@@ -152,6 +154,8 @@ module Location = struct
   let equal a b =
     Int.equal a.obj b.obj && String.equal a.field b.field
     && String.equal a.cls b.cls
+
+  let hash = Hashtbl.hash
 
   let compare a b =
     match String.compare a.cls b.cls with

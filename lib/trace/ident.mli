@@ -44,6 +44,9 @@ module Lock_id : sig
 
   val equal : t -> t -> bool
 
+  val hash : t -> int
+  (** Consistent with {!equal}, for [Hashtbl.Make]. *)
+
   val compare : t -> t -> int
 
   val pp : Format.formatter -> t -> unit
@@ -77,6 +80,9 @@ module Task_id : sig
 
   val equal : t -> t -> bool
 
+  val hash : t -> int
+  (** Consistent with {!equal}, for [Hashtbl.Make]. *)
+
   val compare : t -> t -> int
 
   val pp : Format.formatter -> t -> unit
@@ -93,8 +99,8 @@ end
 
 (** A shared string-interning table.
 
-    The binary trace codec ({!Binfmt}), the streaming engine and the
-    corpus generator all need a stable [string -> small int] mapping for
+    The binary trace codec ({!Binfmt}) and the corpus generator writing
+    through it need a stable [string -> small int] mapping for
     identifier names.  Hoisting the table here keeps the numbering
     consistent between producers and consumers.  Indices are dense and
     assigned in first-seen order, so an interner doubles as an ordered
@@ -147,6 +153,9 @@ module Location : sig
       distinct fields. *)
 
   val equal : t -> t -> bool
+
+  val hash : t -> int
+  (** Consistent with {!equal}, for [Hashtbl.Make]. *)
 
   val compare : t -> t -> int
 

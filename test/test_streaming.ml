@@ -17,6 +17,18 @@ let pairs races =
     (fun (r : Race.t) -> (r.first.position, r.second.position))
     races
 
+(* The batch engine the differential checks compare against. *)
+let worklist_config =
+  { Detector.default_config with
+    hb = { Detector.default_config.hb with closure = Hb.Worklist }
+  }
+
+let worklist_pairs ~jobs t =
+  List.map
+    (fun { Detector.race; _ } ->
+       (race.Race.first.position, race.Race.second.position))
+    (Detector.analyze ~config:worklist_config ~jobs t).Detector.all_races
+
 (* {1 Epoch frontiers} *)
 
 (* A clock that knows slot [s] up to time [t], built pointwise. *)
@@ -150,6 +162,54 @@ let test_gc_retired_tasks () =
   check_bool "live slots bounded by the window, not the task count" true
     (stats.Streaming.live_slots < 20)
 
+(* {1 Chains} *)
+
+let test_fifo_chain () =
+  (* 40 tasks posted in order to one looper, then run: FIFO orders each
+     after the one before, so every begin after the first already holds
+     its predecessor's end and continues its slot. *)
+  let tasks = List.init 40 (fun i -> task ~instance:i "seq") in
+  let t =
+    trace
+      ([ threadinit 0; threadinit 1; attachq 1; looponq 1 ]
+       @ List.map (fun p -> post 0 p 1) tasks
+       @ List.concat_map
+           (fun p -> [ begin_task 1 p; write 1 (loc "x"); end_task 1 p ])
+           tasks)
+  in
+  List.iter
+    (fun config ->
+       let races, stats = Streaming.detect ~config t in
+       check_int "sequential tasks never race" 0 (List.length races);
+       check_int "every task after the first continues the chain" 39
+         stats.Streaming.chained_tasks)
+    [ Streaming.default_config; exercise_config ]
+
+let test_nopre_on_chain () =
+  (* T1 and T2 run in order on looper 1 (FIFO) and so share a slot.
+     T1 forks thread 2, which posts T3: the post knows T1's begin, not
+     T2's, so NOPRE orders T1 before T3 and nothing orders T2 before
+     T3.  Probing the shared slot for any time at all would mistake
+     knowing T1 for knowing T2 and lose the (T2, T3) race. *)
+  let t1 = task "t1" and t2 = task "t2" and t3 = task "t3" in
+  let x = loc "x" in
+  let t =
+    trace
+      [ threadinit 0; threadinit 1; attachq 1; looponq 1
+      ; post 0 t1 1; post 0 t2 1
+      ; begin_task 1 t1; fork 1 2; end_task 1 t1
+      ; begin_task 1 t2; write 1 x; end_task 1 t2
+      ; threadinit 2; post 2 t3 1
+      ; begin_task 1 t3; write 1 x; end_task 1 t3
+      ]
+  in
+  let races, stats = Streaming.detect t in
+  Alcotest.check pair_list "T2 and T3 race" [ (10, 15) ] (pairs races);
+  check_int "T2 continued T1's slot, T3 took a fresh one" 1
+    stats.Streaming.chained_tasks;
+  Alcotest.check pair_list "the worklist engine's race set"
+    (worklist_pairs ~jobs:1 t) (pairs races)
+
 let test_gc_invisible_to_races () =
   (* Slot purging must be invisible; only window folding may (soundly)
      lose races.  Same trace, GC off vs. aggressive interval. *)
@@ -218,15 +278,20 @@ let run_long_trace events =
 let test_fold_channel_bounded_state () =
   let short = run_long_trace 20_000 in
   let long = run_long_trace 60_000 in
-  check_bool "slots are allocated in O(tasks)" true
-    (long.Streaming.slots_allocated > 10_000);
-  (* Live state: loopers × (window + frontier share) + pending,
-     independent of the slots allocated over the run. *)
+  (* Chains and idle segments keep taking slots as the trace grows... *)
   check_bool
-    (Printf.sprintf "peak live slots stay O(live entities): %d"
-       long.Streaming.peak_live_slots)
+    (Printf.sprintf "slots are allocated in O(trace): %d -> %d"
+       short.Streaming.slots_allocated long.Streaming.slots_allocated)
     true
-    (long.Streaming.peak_live_slots < 1_000);
+    (long.Streaming.slots_allocated * 2 >= short.Streaming.slots_allocated * 5);
+  (* ...while live state, loopers × (window + frontier share) + pending,
+     stays independent of the slots allocated over the run. *)
+  check_bool
+    (Printf.sprintf "peak live slots stay flat: %d -> %d"
+       short.Streaming.peak_live_slots long.Streaming.peak_live_slots)
+    true
+    (long.Streaming.peak_live_slots <= 2 * short.Streaming.peak_live_slots
+     && long.Streaming.peak_live_slots < 1_000);
   (* The real bound: peak resident state plateaus once the completed
      windows fill (~2k events here), so tripling the trace must not
      grow it materially — the batch engines would triple. *)
@@ -239,9 +304,10 @@ let test_fold_channel_bounded_state () =
 
 (* {1 The lock-merge regime, pinned}
 
-   With locked tasks and 32 planted races, lock merges spread about
-   1,900 live slots into every clock: the regime the random traces
-   (120 events) never reach.  The digests cover the pair lists in the
+   With locked tasks and 32 planted races, lock merges spread every
+   live slot into every clock: the regime the random traces (120
+   events) never reach.  A slot per task made that about 1,900 live
+   slots; chains bring it to about 20.  The digests cover the pair lists in the
    engine's output order; a change to the clock representation or to
    the begin-time join must reproduce them and the structural counts
    exactly. *)
@@ -275,8 +341,8 @@ let test_lock_merge_regime_pinned () =
   check_int "seed 1: pairs" 378 n;
   Alcotest.(check string) "seed 1: pair digest"
     "93819d06370601829dd1757770483f45" digest;
-  check_int "peak live slots" 1_924 stats.Streaming.peak_live_slots;
-  check_int "peak clock entries" 352_461 stats.Streaming.peak_clock_entries;
+  check_int "peak live slots" 23 stats.Streaming.peak_live_slots;
+  check_int "peak clock entries" 4_026 stats.Streaming.peak_clock_entries;
   check_int "promotions" 290 stats.Streaming.promotions;
   check_int "folded tasks" 3_818 stats.Streaming.folded_tasks;
   check_int "gc sweeps" 8 stats.Streaming.gc_sweeps;
@@ -301,17 +367,6 @@ let test_longtrace_prefixes_admissible () =
     [ 1; 7; 50; 333; 2_000 ]
 
 (* {1 Differential properties against the batch engines} *)
-
-let worklist_config =
-  { Detector.default_config with
-    hb = { Detector.default_config.hb with closure = Hb.Worklist }
-  }
-
-let worklist_pairs ~jobs t =
-  List.map
-    (fun { Detector.race; _ } ->
-       (race.Race.first.position, race.Race.second.position))
-    (Detector.analyze ~config:worklist_config ~jobs t).Detector.all_races
 
 let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_range 5 150))
 
@@ -408,6 +463,9 @@ let () =
     ; ( "engine"
       , [ Alcotest.test_case "figures" `Quick test_figures
         ; Alcotest.test_case "retired-task GC" `Quick test_gc_retired_tasks
+        ; Alcotest.test_case "FIFO tasks share one chain" `Quick test_fifo_chain
+        ; Alcotest.test_case "NOPRE probes the task, not the chain" `Quick
+            test_nopre_on_chain
         ; Alcotest.test_case "GC invisible to races" `Quick
             test_gc_invisible_to_races
         ; Alcotest.test_case "window folding sound" `Quick
